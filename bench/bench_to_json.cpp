@@ -5,7 +5,8 @@
 // timestamps) that churn on every run and machine, which would make the
 // committed baselines undiffable. This tool keeps only what the perf
 // trajectory needs: benchmark name, real/cpu time in milliseconds, and
-// throughput.
+// throughput — plus one host fingerprint (nproc, CPU model, build type), so
+// a baseline says which machine its numbers came from.
 //
 // Usage:
 //   bench_to_json <google-benchmark-output.json>
@@ -26,18 +27,28 @@
 //       given (run_bench.sh passes the current git commit), the ref the
 //       fresh run was built from — a CI log line is then self-contained:
 //       which code regressed against which committed baseline.
+//       When the baseline's host fingerprint differs from this machine's,
+//       or the baseline records none ("unknown host"), a warning goes to
+//       stderr; it never changes the exit status.
 //
 // Parsing note: google-benchmark emits one "key": value pair per line inside
 // the "benchmarks" array, and the compact format keeps one entry per line,
 // so a line-oriented scan is reliable for both; this is not a general JSON
 // parser and does not try to be one.
+#include <sched.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifndef OCP_BUILD_TYPE
+#define OCP_BUILD_TYPE ""
+#endif
 
 namespace {
 
@@ -50,24 +61,31 @@ struct BenchEntry {
 };
 
 /// Value of `"key": <value>` on `line`, or nullopt when the key is absent.
+/// A quoted value is read up to its closing quote (so it may contain commas
+/// and braces) and unescaped.
 std::optional<std::string> field(const std::string& line,
                                  const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return std::nullopt;
   std::string value = line.substr(pos + needle.size());
-  // Trim whitespace and a trailing comma; stop a one-line entry at the next
-  // field or closing brace.
   while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
     value.erase(value.begin());
   }
+  if (!value.empty() && value.front() == '"') {
+    std::string out;
+    for (std::size_t i = 1; i < value.size() && value[i] != '"'; ++i) {
+      if (value[i] == '\\' && i + 1 < value.size()) ++i;
+      out.push_back(value[i]);
+    }
+    return out;
+  }
+  // Trim a trailing comma; stop a one-line entry at the next field or
+  // closing brace.
   const auto end = value.find_first_of(",}");
   if (end != std::string::npos) value = value.substr(0, end);
   while (!value.empty() && (value.back() == ' ' || value.back() == '\r')) {
     value.pop_back();
-  }
-  if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
-    value = value.substr(1, value.size() - 2);
   }
   return value;
 }
@@ -89,6 +107,59 @@ std::string escape(const std::string& s) {
     out.push_back(c);
   }
   return out;
+}
+
+/// Where a set of numbers was measured. Absent from baselines recorded
+/// before the schema carried it; those compare as "unknown host".
+struct HostFingerprint {
+  std::string nproc;
+  std::string cpu_model;
+  std::string build_type;
+
+  bool operator==(const HostFingerprint&) const = default;
+  [[nodiscard]] std::string describe() const {
+    return "nproc " + nproc + ", cpu \"" + cpu_model + "\", build " +
+           build_type;
+  }
+};
+
+/// This machine: the CPUs this process may run on (what `nproc` prints),
+/// the first "model name" in /proc/cpuinfo, and the CMake build type this
+/// tool — and the benchmarks built beside it — was compiled with.
+HostFingerprint this_host() {
+  HostFingerprint host;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus = sched_getaffinity(0, sizeof(set), &set) == 0
+                       ? CPU_COUNT(&set)
+                       : static_cast<int>(std::thread::hardware_concurrency());
+  host.nproc = std::to_string(cpus);
+  host.cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) host.cpu_model = line.substr(start);
+    break;
+  }
+  host.build_type = *OCP_BUILD_TYPE ? OCP_BUILD_TYPE : "unknown";
+  return host;
+}
+
+/// The fingerprint line of a compact baseline, if it has one.
+std::optional<HostFingerprint> parse_host(std::istream& in) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"host\":") == std::string::npos) continue;
+    HostFingerprint host;
+    host.nproc = field(line, "nproc").value_or("?");
+    host.cpu_model = field(line, "cpu_model").value_or("?");
+    host.build_type = field(line, "build_type").value_or("?");
+    return host;
+  }
+  return std::nullopt;
 }
 
 /// Parses the full google-benchmark JSON (one field per line).
@@ -250,9 +321,13 @@ int main(int argc, char** argv) {
   }
   const std::vector<BenchEntry> entries = parse_full(in);
 
+  const HostFingerprint host = this_host();
   std::ostringstream out;
   out.precision(6);
-  out << "{\n  \"schema\": \"ocpmesh-bench-v1\",\n  \"benchmarks\": [\n";
+  out << "{\n  \"schema\": \"ocpmesh-bench-v1\",\n"
+      << "  \"host\": {\"nproc\": " << host.nproc << ", \"cpu_model\": \""
+      << escape(host.cpu_model) << "\", \"build_type\": \""
+      << escape(host.build_type) << "\"},\n  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BenchEntry& e = entries[i];
     out << "    {\"name\": \"" << escape(e.name) << "\", \"real_time_ms\": "
@@ -278,6 +353,16 @@ int main(int argc, char** argv) {
       std::cerr << "bench_to_json: no entries in baseline " << baseline_path
                 << "\n";
       return 1;
+    }
+    base_in.clear();
+    base_in.seekg(0);
+    const std::optional<HostFingerprint> base_host = parse_host(base_in);
+    if (base_host != host) {
+      std::cerr << "warning: host fingerprint differs from the baseline's; "
+                   "ratios mix machines, not just code\n"
+                << "  baseline host: "
+                << (base_host ? base_host->describe() : "unknown host")
+                << "\n  this host:     " << host.describe() << "\n";
     }
     const std::vector<std::string> failures =
         compare(entries, baseline, tolerance, allow_new);

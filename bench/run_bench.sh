@@ -13,6 +13,9 @@
 #                                       # the committed BENCH_netsim.json with
 #                                       # a tolerance band; nonzero exit on
 #                                       # regression; baseline NOT rewritten
+#                                       # (--netsim, --svc and --alloc
+#                                       # combine: each selected suite is
+#                                       # compared)
 #   bench/run_bench.sh --svc            # serving-runtime suite only, compared
 #                                       # against the committed BENCH_svc.json
 #                                       # the same way
@@ -181,13 +184,6 @@ if [ "$CHECK" = 1 ]; then
   run_trace >&2
 fi
 
-if [ "$NETSIM_ONLY" = 1 ]; then
-  run_suite perf_netsim compare "$ROOT/BENCH_netsim.json"
-  echo "netsim within tolerance of the committed baseline"
-  echo "(fresh compact numbers: $BUILD/bench/perf_netsim.full.json.compact)"
-  exit 0
-fi
-
 # --svc-sweep: the closed-loop generator at 1/2/4/8 query threads — single
 # writer AND the sharded fleet at 1/2/4 shards (BM_SvcShardedClosedLoop's
 # first arg) — printed as a qps table. Pulls items_per_second straight out
@@ -218,18 +214,24 @@ if [ "$SVC_SWEEP" = 1 ]; then
   exit 0
 fi
 
-if [ "$SVC_ONLY" = 1 ]; then
-  run_suite svc_load compare "$ROOT/BENCH_svc.json"
-  echo "svc within tolerance of the committed baseline"
-  echo "(fresh compact numbers: $BUILD/bench/svc_load.full.json.compact)"
-  exit 0
-fi
-
-if [ "$ALLOC_ONLY" = 1 ]; then
-  run_suite alloc_load compare "$ROOT/BENCH_alloc.json"
-  echo "alloc within tolerance of the committed baseline"
-  echo "(fresh compact numbers: $BUILD/bench/alloc_load.full.json.compact)"
-  exit 0
+# Compare modes compose (`--svc --netsim` gates both suites); every selected
+# suite runs even after one regresses, and the exit status is 1 if any did.
+if [ "$NETSIM_ONLY" = 1 ] || [ "$SVC_ONLY" = 1 ] || [ "$ALLOC_ONLY" = 1 ]; then
+  status=0
+  compare_suite() {
+    local selected="$1" bin="$2" label="$3" baseline="$ROOT/$4"
+    [ "$selected" = 1 ] || return 0
+    if run_suite "$bin" compare "$baseline"; then
+      echo "$label within tolerance of the committed baseline"
+    else
+      status=1
+    fi
+    echo "(fresh compact numbers: $BUILD/bench/$bin.full.json.compact)"
+  }
+  compare_suite "$NETSIM_ONLY" perf_netsim netsim BENCH_netsim.json
+  compare_suite "$SVC_ONLY" svc_load svc BENCH_svc.json
+  compare_suite "$ALLOC_ONLY" alloc_load alloc BENCH_alloc.json
+  exit "$status"
 fi
 
 run_suite perf_labeling write "$ROOT/BENCH_labeling.json"

@@ -10,6 +10,10 @@
 #   6. failure preamble names the baseline file, and --ref stamps the run's
 #      git ref into it (a CI log line is then self-contained)
 #   7. a passing run never prints the failure preamble
+#   8. the compact JSON carries a host fingerprint (nproc, CPU model, build
+#      type); a same-host compare prints no host warning
+#   9. a baseline from another host, or with no fingerprint ("unknown
+#      host"), draws a warning but never changes the exit status
 #
 # Usage: test_bench_to_json.sh <path-to-bench_to_json>
 set -u
@@ -139,6 +143,41 @@ expect "passing run stays quiet" 0 \
   "$BIN" "$TMP/run.json" --compare "$TMP/baseline.json" --ref cafe1234
 if grep -q "baseline:" "$TMP/stderr.log"; then
   echo "FAIL passing run: failure preamble printed on success" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+# 8. The fingerprint line names this machine, and comparing against a
+# baseline recorded here stays quiet about hosts.
+if ! grep -q '"host": {"nproc": [0-9][0-9]*, "cpu_model": ".*", "build_type": ".*"}' \
+    "$TMP/baseline.json"; then
+  echo "FAIL host fingerprint: no host line in the compact JSON" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+expect "same-host compare" 0 \
+  "$BIN" "$TMP/run.json" --compare "$TMP/baseline.json"
+if grep -q "host fingerprint differs" "$TMP/stderr.log"; then
+  echo "FAIL same-host compare: spurious host warning" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+# 9. Another host's baseline warns (passing and failing runs alike keep
+# their exit status), and so does a baseline with no fingerprint at all.
+sed 's/"nproc": [0-9]*/"nproc": 999/; s/"cpu_model": "[^"]*"/"cpu_model": "Other, CPU"/' \
+  "$TMP/baseline.json" > "$TMP/baseline_other.json"
+expect "other-host compare" 0 \
+  "$BIN" "$TMP/run.json" --compare "$TMP/baseline_other.json"
+if ! grep -q "host fingerprint differs" "$TMP/stderr.log" ||
+   ! grep -q 'baseline host: nproc 999, cpu "Other, CPU"' "$TMP/stderr.log"; then
+  echo "FAIL other-host compare: no warning naming the baseline host" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+expect "other-host regression" 1 \
+  "$BIN" "$TMP/slow.json" --compare "$TMP/baseline_other.json"
+grep -v '"host":' "$TMP/baseline.json" > "$TMP/baseline_nohost.json"
+expect "unknown-host compare" 0 \
+  "$BIN" "$TMP/run.json" --compare "$TMP/baseline_nohost.json"
+if ! grep -q "baseline host: unknown host" "$TMP/stderr.log"; then
+  echo "FAIL unknown-host compare: no unknown-host warning" >&2
   FAILURES=$((FAILURES + 1))
 fi
 

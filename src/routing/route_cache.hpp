@@ -7,16 +7,19 @@
 // only pairs that are actually requested are ever routed, which keeps the
 // footprint proportional to observed traffic rather than node_count².
 //
-// Entries live in a pooled table owned by one `shared_ptr<Table>`: shared
-// lookups hand out aliasing handles into the table instead of allocating a
-// control block per route, and `clear()` retires the whole table at once
-// (outstanding handles keep it alive). Each entry also records the tile
-// footprint its computation consulted — the tiles of every path cell plus
-// their 4-neighborhoods (see grid::TileGrid) — so a successor cache serving
-// a changed blocked set can `adopt()` every entry whose footprint misses
-// the dirty tiles: those routes are provably identical under the new
-// blocked set, because the router only ever probes blocked cells inside the
-// footprint.
+// Every memoized route is allocated once, by the miss that computed it, and
+// is immutable and refcounted after that. The table is one flat
+// open-addressing array of slots, each holding the (src, dst) key, the
+// route pointer and the tile footprint the route's computation consulted —
+// the tiles of every path cell plus their 4-neighborhoods (see
+// grid::TileGrid). A successor cache serving a changed blocked set
+// `adopt()`s every route whose footprint misses the dirty tiles: those
+// routes are provably identical under the new blocked set, because the
+// router only ever probes blocked cells inside the footprint. Carry-over is
+// one pass of mask tests and pointer copies; the two caches then share the
+// route, so destroying the old one frees only the routes its successor
+// dropped. `lookup_shared` hands out the route's own refcounted handle,
+// which keeps it alive past the cache.
 //
 // Thread-safe: the parallel load-sweep driver (netsim/load_sweep) shares one
 // cache across all (load, seed) trials of a sweep, since every trial sees
@@ -27,10 +30,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <shared_mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "grid/tiles.hpp"
 #include "routing/router.hpp"
@@ -40,31 +42,20 @@ namespace ocp::routing {
 class RouteCache {
  public:
   RouteCache(const Router& router, const mesh::Mesh2D& machine)
-      : router_(&router),
-        mesh_(machine),
-        tiles_(machine),
-        table_(std::make_shared<Table>()) {}
+      : router_(&router), mesh_(machine), tiles_(machine) {}
 
   /// The route src -> dst, computed on first request and remembered. The
-  /// returned reference stays valid until `clear()` retires the entry (or
-  /// the cache is destroyed); callers that outlive an invalidation epoch
-  /// must use `lookup_shared`.
+  /// returned reference stays valid for the cache's lifetime.
   [[nodiscard]] const Route& lookup(mesh::Coord src, mesh::Coord dst) const;
 
-  /// Like `lookup`, but the returned handle keeps the route alive across a
-  /// concurrent `clear()` — the safe form for readers racing invalidation.
-  /// The handle aliases the pooled table (no per-entry allocation).
+  /// Like `lookup`, but the returned handle owns the route: it shares the
+  /// route's own control block (no allocation on a hit) and stays valid
+  /// after this cache, and every successor that carried the route, is
+  /// destroyed.
   [[nodiscard]] std::shared_ptr<const Route> lookup_shared(
       mesh::Coord src, mesh::Coord dst) const;
 
-  /// Retires every memoized route and advances the generation counter.
-  /// Used at epoch rollover: when the blocked set (and hence the router's
-  /// answers) changes, stale routes must not survive. Safe to call
-  /// concurrently with `lookup_shared`; routes handed out earlier stay
-  /// alive through their shared handles.
-  void clear();
-
-  /// What `adopt` did: entries copied into this cache vs dropped because
+  /// What `adopt` did: entries carried into this cache vs dropped because
   /// their footprint intersected the dirty tiles.
   struct AdoptStats {
     std::size_t carried = 0;
@@ -76,15 +67,12 @@ class RouteCache {
   /// bitmask over the shared machine). Sound when the blocked sets backing
   /// the two caches differ only inside the dirty tiles: a surviving route
   /// never probed a changed cell, so recomputing it would yield the same
-  /// answer. Safe against concurrent lookups on `prev` (which may still be
-  /// serving); `prev` must not be this cache.
+  /// answer. Carried routes are shared, not copied; on a key this cache
+  /// already holds, `prev`'s route wins (the displaced one stays alive
+  /// until this cache is destroyed, so `lookup` references hold). Safe
+  /// against concurrent lookups on `prev` (which may still be serving);
+  /// `prev` must not be this cache.
   AdoptStats adopt(const RouteCache& prev, std::uint64_t dirty_tiles);
-
-  /// Monotonically increasing invalidation epoch: 0 at construction,
-  /// +1 per `clear()`.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_.load(std::memory_order_acquire);
-  }
 
   /// Number of distinct (src, dst) pairs routed so far.
   [[nodiscard]] std::size_t size() const;
@@ -113,23 +101,42 @@ class RouteCache {
   }
 
  private:
-  struct Entry {
-    Route route;
-    /// Tiles this route's computation may have probed (path cells and
+  using RoutePtr = std::shared_ptr<const Route>;
+
+  /// Open-addressing slot; empty while `route` is null.
+  struct Slot {
+    std::uint64_t key = 0;
+    /// Tiles the route's computation may have probed (path cells and
     /// their neighborhoods, plus both endpoints).
     std::uint64_t tiles = 0;
+    RoutePtr route;
   };
-  /// One cache generation: an index over a deque pool (stable addresses,
-  /// no per-entry allocation). Retired wholesale by `clear()`.
-  struct Table {
-    std::unordered_map<std::uint64_t, const Entry*> index;
-    std::deque<Entry> pool;
+
+  /// Linear-probing table, power-of-two capacity, at most half full.
+  class Table {
+   public:
+    /// The slot holding `key`, or nullptr.
+    [[nodiscard]] const Slot* find(std::uint64_t key) const noexcept;
+    /// Grows so that `n` entries fit without a further rehash.
+    void reserve(std::size_t n);
+    /// The slot for `key`: the existing one, or a claimed empty slot
+    /// (route still null) that the caller must fill.
+    Slot& claim(std::uint64_t key);
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] const std::vector<Slot>& slots() const noexcept {
+      return slots_;
+    }
+
+   private:
+    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept;
+    std::vector<Slot> slots_;
+    std::size_t count_ = 0;
+    std::uint32_t shift_ = 64;  // 64 - log2(capacity)
   };
 
   /// Slow path: routes src -> dst, inserts (or finds a racing insertion)
-  /// and returns an owning handle into the current table.
-  std::shared_ptr<const Route> miss(std::uint64_t key, mesh::Coord src,
-                                    mesh::Coord dst) const;
+  /// and returns the route now in the table.
+  RoutePtr miss(std::uint64_t key, mesh::Coord src, mesh::Coord dst) const;
   [[nodiscard]] std::uint64_t footprint(const Route& route, mesh::Coord src,
                                         mesh::Coord dst) const;
 
@@ -137,8 +144,9 @@ class RouteCache {
   mesh::Mesh2D mesh_;
   grid::TileGrid tiles_;
   mutable std::shared_mutex mutex_;
-  mutable std::shared_ptr<Table> table_;
-  std::atomic<std::uint64_t> generation_{0};
+  mutable Table table_;
+  /// Routes `adopt` overwrote, kept so `lookup` references stay valid.
+  std::vector<RoutePtr> displaced_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> shared_locks_{0};

@@ -12,7 +12,9 @@
 // Epoch turnover is copy-on-write: `next()` builds a successor snapshot
 // that shares every serving page whose tile the delta did not touch (see
 // pages.hpp) and carries the predecessor's route cache, dropping only the
-// entries whose footprint intersects the dirty tiles. The region-key
+// entries whose footprint intersects the dirty tiles. Carried routes are
+// shared with the predecessor, not copied, so retiring an old epoch frees
+// only the routes its successor dropped. The region-key
 // indirection exists precisely for this: a region's key (the minimum
 // row-major node index of its cells) is stable across events that renumber
 // the `regions()` vector without touching the region itself, so pages of
@@ -144,8 +146,7 @@ class Snapshot {
   }
 
   /// Route over enabled nodes, memoized in this epoch's cache. The
-  /// reference is stable for the snapshot's lifetime (per-epoch caches are
-  /// never cleared).
+  /// reference is stable for the snapshot's lifetime.
   [[nodiscard]] const routing::Route& route(mesh::Coord src,
                                             mesh::Coord dst) const {
     return cache_.lookup(src, dst);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -130,91 +133,128 @@ TEST(RouteCacheTest, ConcurrentDistinctKeyLookupsAccountEveryLookup) {
   EXPECT_EQ(cache.hits(), expected_lookups - expected_pairs);
 }
 
-TEST(RouteCacheTest, ClearRetiresEntriesAndAdvancesGeneration) {
+// Epoch rollover with every tile dirty — what a wholesale invalidation
+// looks like now that each epoch owns its own cache: the successor starts
+// empty, its first lookups miss and recompute, and the predecessor's
+// counters are untouched.
+TEST(RouteCacheTest, FullyDirtyAdoptCarriesNothingAndRepopulates) {
   const Mesh2D m(8, 8);
   const grid::CellSet blocked(m);
   const XYRouter router(m, blocked);
-  RouteCache cache(router, m);
+  RouteCache prev(router, m);
 
-  EXPECT_EQ(cache.generation(), 0u);
-  (void)cache.lookup({0, 0}, {7, 7});
-  (void)cache.lookup({1, 1}, {6, 6});
-  ASSERT_EQ(cache.size(), 2u);
+  (void)prev.lookup({0, 0}, {7, 7});
+  (void)prev.lookup({1, 1}, {6, 6});
+  ASSERT_EQ(prev.size(), 2u);
 
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.generation(), 1u);
-  // Hit/miss counters are cumulative across generations.
-  EXPECT_EQ(cache.misses(), 2u);
+  RouteCache next(router, m);
+  const auto stats = next.adopt(prev, ~std::uint64_t{0});
+  EXPECT_EQ(stats.carried, 0u);
+  EXPECT_EQ(stats.invalidated, 2u);
+  EXPECT_EQ(next.size(), 0u);
+  EXPECT_EQ(prev.size(), 2u);
+  EXPECT_EQ(prev.misses(), 2u);
 
-  // The next lookup repopulates: a fresh miss, not a stale hit.
-  (void)cache.lookup({0, 0}, {7, 7});
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.size(), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.generation(), 2u);
+  // The next lookup repopulates: a fresh miss, not a stale hit, and a new
+  // object rather than the predecessor's.
+  const Route& recomputed = next.lookup({0, 0}, {7, 7});
+  EXPECT_EQ(next.misses(), 1u);
+  EXPECT_EQ(next.hits(), 0u);
+  EXPECT_EQ(next.size(), 1u);
+  EXPECT_NE(&recomputed, &prev.lookup({0, 0}, {7, 7}));
+  EXPECT_EQ(recomputed.path, router.route({0, 0}, {7, 7}).path);
 }
 
-TEST(RouteCacheTest, SharedHandleSurvivesClear) {
+// A shared handle owns its route: it outlives the cache that computed it
+// and the successor that carried it.
+TEST(RouteCacheTest, SharedHandleOutlivesCacheAndCarryingSuccessor) {
   const Mesh2D m(8, 8);
   const grid::CellSet blocked(m);
   const XYRouter router(m, blocked);
-  RouteCache cache(router, m);
 
-  const std::shared_ptr<const Route> held = cache.lookup_shared({0, 0}, {7, 7});
-  ASSERT_NE(held, nullptr);
-  const auto path_before = held->path;
-  cache.clear();
-  // The handle keeps the retired route alive and intact.
+  std::shared_ptr<const Route> held;
+  {
+    auto first = std::make_unique<RouteCache>(router, m);
+    held = first->lookup_shared({0, 0}, {7, 7});
+    ASSERT_NE(held, nullptr);
+    RouteCache second(router, m);
+    ASSERT_EQ(second.adopt(*first, 0).carried, 1u);
+    first.reset();
+    // The carried entry is the same object the handle points at.
+    EXPECT_EQ(&second.lookup({0, 0}, {7, 7}), held.get());
+  }
+  // Both caches are gone; the handle keeps the route alive and intact.
   EXPECT_TRUE(held->delivered());
-  EXPECT_EQ(held->path, path_before);
+  EXPECT_EQ(held->path, router.route({0, 0}, {7, 7}).path);
 }
 
-// 8 threads: 6 readers via lookup_shared, 2 clearers invalidating the table
-// underneath them. Every handle must come back non-null with a delivered
-// route regardless of interleaving — the tsan build (ctest -L tsan) checks
-// the handoff between the swap-under-lock in clear() and the shared-lock
-// fast path for data races.
-TEST(RouteCacheTest, ConcurrentClearAndSharedLookupsStaySafe) {
+// 6 readers call lookup_shared on whichever cache is current while one
+// writer keeps publishing successors (each adopting its predecessor with a
+// rotating dirty tile) and dropping its reference to the old one, so older
+// caches are destroyed underneath readers that may still hold handles into
+// them — often on a reader thread, when that reader held the last
+// reference. Every answer must equal a fresh route, including handles
+// checked after their cache is gone. Run under ctest -L tsan this checks
+// the publish/retire handoff and the per-entry refcounts for data races.
+TEST(RouteCacheTest, ConcurrentAdoptChainAndSharedLookupsStaySafe) {
   const Mesh2D m(16, 16);
   const grid::CellSet blocked{m, {{7, 7}, {8, 7}}};
   const FaultRingRouter router(m, blocked);
-  RouteCache cache(router, m);
+  const grid::TileGrid tiles(m);
+
+  std::mutex slot_mutex;
+  std::shared_ptr<const RouteCache> current =
+      std::make_shared<RouteCache>(router, m);
+  const auto acquire = [&] {
+    std::lock_guard lock(slot_mutex);
+    return current;
+  };
 
   constexpr int kReaders = 6;
-  constexpr int kClearers = 2;
   constexpr int kLookups = 500;
-  constexpr int kClears = 200;
+  constexpr int kEpochs = 200;
+  std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  threads.reserve(kReaders + kClearers);
+  threads.reserve(kReaders + 1);
   for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (int i = 0; i < kLookups; ++i) {
+    threads.emplace_back([&, t] {
+      std::vector<std::pair<std::pair<Coord, Coord>,
+                            std::shared_ptr<const Route>>> kept;
+      for (int i = 0; i < kLookups || !stop.load(); ++i) {
         const Coord src{t, (t + i) % 16};
         const Coord dst{15 - i % 3, (i / 3) % 16};
         if (src == dst) continue;
-        const auto route = cache.lookup_shared(src, dst);
+        const auto route = acquire()->lookup_shared(src, dst);
         ASSERT_NE(route, nullptr);
         ASSERT_TRUE(route->delivered());
         ASSERT_FALSE(route->path.empty());
+        if (i % 64 == 0) kept.push_back({{src, dst}, route});
+      }
+      for (const auto& [pair, route] : kept) {
+        ASSERT_EQ(route->path, router.route(pair.first, pair.second).path);
       }
     });
   }
-  for (int t = 0; t < kClearers; ++t) {
-    threads.emplace_back([&cache] {
-      for (int i = 0; i < kClears; ++i) {
-        cache.clear();
-        std::this_thread::yield();
-      }
-    });
-  }
+  threads.emplace_back([&] {
+    for (int e = 0; e < kEpochs; ++e) {
+      auto next = std::make_shared<RouteCache>(router, m);
+      const auto stats = next->adopt(
+          *acquire(), std::uint64_t{1}
+                          << (static_cast<std::uint32_t>(e) % tiles.tile_count()));
+      EXPECT_EQ(next->size(), stats.carried);
+      std::lock_guard lock(slot_mutex);
+      current = std::move(next);
+    }
+    stop.store(true);
+  });
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(cache.generation(),
-            static_cast<std::uint64_t>(kClearers) * kClears);
-  // Counter identity holds across invalidations (skipped src==dst pairs
-  // are not lookups).
-  EXPECT_GE(cache.hits() + cache.misses(), 1u);
+  // The survivor of the chain still answers every carried pair correctly.
+  for (int t = 0; t < kReaders; ++t) {
+    const Coord src{t, t};
+    const Coord dst{15, 15};
+    EXPECT_EQ(current->lookup(src, dst).path, router.route(src, dst).path);
+  }
 }
 
 // Carry-over across an epoch boundary: entries whose footprint avoids the
@@ -263,6 +303,147 @@ TEST(RouteCacheTest, AdoptCarriesCleanEntriesAndDropsDirtyOnes) {
   const Route& recomputed = new_cache.lookup(near_src, near_dst);
   EXPECT_EQ(recomputed.path, new_router.route(near_src, near_dst).path);
   EXPECT_NE(recomputed.path, near_before.path);
+}
+
+// Carry-over shares entries instead of copying them: a carried pair is the
+// very same Route object in both epochs, an invalidated pair recomputes
+// into a distinct one, and the carried routes stay correct under the new
+// blocked set once the predecessor is gone.
+TEST(RouteCacheTest, CarriedEntriesAreSharedNotCopied) {
+  const Mesh2D m(32, 32);
+  const grid::CellSet old_blocked{m, {{16, 16}, {17, 16}}};
+  const FaultRingRouter old_router(m, old_blocked);
+  auto prev = std::make_unique<RouteCache>(old_router, m);
+
+  const Coord far_src{1, 1}, far_dst{6, 2};
+  const Coord near_src{12, 16}, near_dst{22, 16};
+  const Route& far_prev = prev->lookup(far_src, far_dst);
+  const Route& near_prev = prev->lookup(near_src, near_dst);
+  const Coord extra = near_prev.path[near_prev.path.size() / 2];
+
+  grid::CellSet new_blocked = old_blocked;
+  new_blocked.insert(extra);
+  const FaultRingRouter new_router(m, new_blocked);
+  RouteCache next(new_router, m);
+  const grid::TileGrid tiles(m);
+  const auto stats = next.adopt(*prev, tiles.padded_bits(extra));
+  ASSERT_EQ(stats.carried, 1u);
+  ASSERT_EQ(stats.invalidated, 1u);
+
+  EXPECT_EQ(&next.lookup(far_src, far_dst), &far_prev)
+      << "a carried pair must be the predecessor's object, not a copy";
+  const Route& near_next = next.lookup(near_src, near_dst);
+  EXPECT_NE(&near_next, &near_prev)
+      << "an invalidated pair must be recomputed into a new object";
+
+  prev.reset();
+  EXPECT_EQ(next.lookup(far_src, far_dst).path,
+            new_router.route(far_src, far_dst).path);
+  EXPECT_EQ(next.lookup(near_src, near_dst).path,
+            new_router.route(near_src, near_dst).path);
+  EXPECT_EQ(next.misses(), 1u);
+}
+
+// Adopting into a cache that already holds a key: the predecessor's entry
+// wins (as an insert-or-assign would), the displaced route stays readable
+// through the reference handed out before, and readers racing the adoption
+// on the successor always get a correct route. Runs under ctest -L tsan.
+TEST(RouteCacheTest, AdoptOverAnExistingKeyLetsThePredecessorWin) {
+  const Mesh2D m(16, 16);
+  const grid::CellSet blocked{m, {{7, 7}}};
+  const FaultRingRouter router(m, blocked);
+  const Coord a{0, 0}, b{15, 15}, c{3, 12}, d{12, 3};
+  const Route expected_ab = router.route(a, b);
+  const Route expected_cd = router.route(c, d);
+
+  RouteCache prev(router, m);
+  RouteCache next(router, m);
+  const Route& mine = next.lookup(a, b);
+  const Route& theirs = prev.lookup(a, b);
+  (void)prev.lookup(c, d);
+  ASSERT_NE(&mine, &theirs);
+
+  constexpr int kReaders = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        ASSERT_EQ(next.lookup_shared(a, b)->path, expected_ab.path);
+        ASSERT_EQ(next.lookup_shared(c, d)->path, expected_cd.path);
+      }
+    });
+  }
+  const auto stats = next.adopt(prev, 0);
+  stop.store(true);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(stats.carried, 2u);
+  EXPECT_EQ(next.size(), 2u);
+  EXPECT_EQ(&next.lookup(a, b), &theirs);
+  EXPECT_EQ(mine.path, expected_ab.path);
+}
+
+// The flat table starts small and rehashes as misses land. 6 threads walk
+// one shared pair list from different offsets, so lookups mix hits with
+// racing misses on the same keys while the table grows through several
+// rehashes. Every answer must equal a fresh route, and the table must end
+// with exactly one entry per distinct pair. Runs under ctest -L tsan.
+TEST(RouteCacheTest, FlatTableGrowsUnderConcurrentHitsAndMisses) {
+  const Mesh2D m(16, 16);
+  const grid::CellSet blocked{m, {{7, 7}, {8, 7}, {3, 11}}};
+  const FaultRingRouter router(m, blocked);
+  RouteCache cache(router, m);
+
+  struct Probe {
+    Coord src, dst;
+    Route expected;
+  };
+  std::vector<Probe> probes;
+  for (int sy = 0; sy < 16; sy += 2) {
+    for (int sx = 0; sx < 16; sx += 2) {
+      for (int k = 0; k < 10; ++k) {
+        const Coord src{sx, sy};
+        const Coord dst{(sx + 3 * k + 5) % 16, (sy + 7 * k + 1) % 16};
+        if (src == dst || blocked.contains(src) || blocked.contains(dst)) {
+          continue;
+        }
+        probes.push_back({src, dst, router.route(src, dst)});
+      }
+    }
+  }
+  ASSERT_GE(probes.size(), 500u) << "enough pairs to force several rehashes";
+
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 3;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t n = probes.size();
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const Probe& p = probes[(i + static_cast<std::size_t>(t) * n /
+                                           kThreads) %
+                                  n];
+          const auto route = cache.lookup_shared(p.src, p.dst);
+          ASSERT_EQ(route->status, p.expected.status);
+          ASSERT_EQ(route->path, p.expected.path);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::set<std::pair<std::size_t, std::size_t>> distinct;
+  for (const Probe& p : probes) {
+    distinct.emplace(m.index(p.src), m.index(p.dst));
+  }
+  EXPECT_EQ(cache.size(), distinct.size());
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads) * kRounds * probes.size());
+  EXPECT_GE(cache.misses(), distinct.size());
 }
 
 // Exhaustive soundness sweep: carry over every pair of a dense probe set,

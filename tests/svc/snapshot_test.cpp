@@ -64,10 +64,49 @@ TEST(SnapshotTest, RoutesAreMemoizedAndStable) {
 
   const routing::Route& first = snap->route({0, 0}, {11, 11});
   EXPECT_TRUE(first.delivered());
-  // The per-epoch cache is never cleared, so the reference is stable.
+  // References into the per-epoch cache are stable for its lifetime.
   EXPECT_EQ(&snap->route({0, 0}, {11, 11}), &first);
   EXPECT_EQ(snap->route_cache().hits(), 1u);
   EXPECT_EQ(snap->route_cache().misses(), 1u);
+}
+
+// Snapshot::next shares the predecessor's clean route-cache entries rather
+// than copying them: a carried pair is the same Route object in both
+// epochs, an invalidated pair is recomputed, and once the predecessor
+// snapshot is destroyed the carried routes still equal a fresh route under
+// the successor's blocked set.
+TEST(SnapshotTest, NextSharesCarriedRoutesWithItsPredecessor) {
+  const Mesh2D m(32, 32);
+  labeling::MaintainedLabeling live(grid::CellSet{m, {{16, 16}}});
+  auto prev = Snapshot::build(0, live);
+
+  const Coord far_src{1, 1}, far_dst{6, 2};
+  const Coord near_src{12, 16}, near_dst{22, 16};
+  const routing::Route& far_prev = prev->route(far_src, far_dst);
+  const routing::Route& near_prev = prev->route(near_src, near_dst);
+  const Coord extra = near_prev.path[near_prev.path.size() / 2];
+
+  const grid::TileGrid& tiles = prev->tiles();
+  std::uint64_t dirty = 0;
+  std::uint64_t padded = 0;
+  for (const Coord c : live.add_fault(extra).dirty_cells) {
+    dirty |= tiles.bit_of(c);
+    padded |= tiles.padded_bits(c);
+  }
+  const auto next = Snapshot::next(*prev, 1, live, dirty, padded);
+  ASSERT_EQ(next->cache_carry_stats().carried, 1u);
+  ASSERT_EQ(next->cache_carry_stats().invalidated, 1u);
+
+  EXPECT_EQ(&next->route(far_src, far_dst), &far_prev);
+  const routing::Route& near_next = next->route(near_src, near_dst);
+  EXPECT_NE(&near_next, &near_prev);
+
+  prev.reset();
+  const routing::FaultRingRouter fresh(m, next->blocked());
+  EXPECT_EQ(next->route(far_src, far_dst).path,
+            fresh.route(far_src, far_dst).path);
+  EXPECT_EQ(next->route(near_src, near_dst).path,
+            fresh.route(near_src, near_dst).path);
 }
 
 TEST(SnapshotTest, ValidatePassesOnWellFormedLabeling) {
