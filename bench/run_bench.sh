@@ -146,7 +146,7 @@ run_suite() {
     --benchmark_out_format=json \
     --benchmark_min_time="$MIN_TIME" \
     ${FILTER:+--benchmark_filter="$FILTER"} \
-    >&2
+    >&2 || return 1  # explicit: callers may run this where set -e is off
   if [ "$mode" = write ]; then
     echo "== $bin -> $target"
     "$BUILD/bench/bench_to_json" "$full" > "$target"

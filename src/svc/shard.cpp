@@ -51,12 +51,25 @@ Shard::Shard(std::uint32_t index, const ShardGrid& grid, grid::CellSet initial,
     : index_(index),
       grid_(&grid),
       engine_(std::move(initial), with_collection(std::move(config))),
-      versions_(grid.machine(), 0) {}
+      versions_(grid.machine(), 0),
+      adopted_faulty_(grid.machine(), 0) {}
 
 Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
                                 std::span<const HaloDelta> halo) {
   ApplyResult result;
   batch_scratch_.assign(external.begin(), external.end());
+  // A foreign cell in the external stream is a halo-derived event requeued
+  // by a crash. Newer deltas may have been adopted since (and the requeued
+  // backlog can span several batches), so replay the latest adopted state,
+  // never the stale one the event was derived from.
+  const mesh::Mesh2D& machine = grid_->machine();
+  for (FaultEvent& event : batch_scratch_) {
+    if (machine.contains(event.node) && !grid_->owns(index_, event.node) &&
+        versions_[event.node] != 0) {
+      event.kind = adopted_faulty_[event.node] != 0 ? EventKind::Fault
+                                                    : EventKind::Repair;
+    }
+  }
   for (const HaloDelta& delta : halo) {
     for (const HaloCellState& state : delta.states) {
       if (grid_->owns(index_, state.cell)) {
@@ -65,6 +78,7 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
       std::uint64_t& stored = versions_[state.cell];
       if (state.version <= stored) continue;
       stored = state.version;
+      adopted_faulty_[state.cell] = state.faulty ? 1 : 0;
       // Queue the flip unconditionally: an earlier delta in this same batch
       // may hold the opposite state for this cell, pending in the scratch
       // but not yet applied, so the engine's labeling alone cannot tell

@@ -145,7 +145,9 @@ class Shard {
   /// the halo half coming second still matters after a crash replay, when
   /// the requeued backlog holds *old* halo-derived events that a newer
   /// delta in the same batch must win against (the engine's coalescer keeps
-  /// the last event per cell).
+  /// the last event per cell). Such requeued foreign-cell events replay the
+  /// state last adopted for the cell, so a delta adopted in an earlier
+  /// batch wins too.
   ApplyResult apply(std::span<const FaultEvent> external,
                     std::span<const HaloDelta> halo);
 
@@ -163,6 +165,10 @@ class Shard {
   /// told others) is not lost in the crash — the requeued backlog replays
   /// against the same version knowledge.
   grid::NodeGrid<std::uint64_t> versions_;
+  /// The fault state adopted with each foreign cell's version (1 = faulty).
+  /// Crash replay of requeued halo-derived events reads it, so the replay
+  /// converges to the newest state heard however the backlog is batched.
+  grid::NodeGrid<std::uint8_t> adopted_faulty_;
   /// Monotone stamp source for this shard's owned-cell flips. Never reset
   /// (survives engine crashes), so receivers' version gates stay correct
   /// across replays.

@@ -133,10 +133,9 @@ TEST(RouteCacheTest, ConcurrentDistinctKeyLookupsAccountEveryLookup) {
   EXPECT_EQ(cache.hits(), expected_lookups - expected_pairs);
 }
 
-// Epoch rollover with every tile dirty — what a wholesale invalidation
-// looks like now that each epoch owns its own cache: the successor starts
-// empty, its first lookups miss and recompute, and the predecessor's
-// counters are untouched.
+// Epoch rollover with every tile dirty invalidates wholesale: the successor
+// starts empty, its first lookups miss and recompute, and the predecessor
+// keeps its entries and counters.
 TEST(RouteCacheTest, FullyDirtyAdoptCarriesNothingAndRepopulates) {
   const Mesh2D m(8, 8);
   const grid::CellSet blocked(m);

@@ -117,6 +117,32 @@ TEST(ShardGridTest, ClampsToTileGridAndSlotCapacity) {
 
 // -- seam geometries: digest equality vs the single writer ------------------
 
+// A crash requeues the interrupted batch's halo-derived events as plain
+// events, and the requeued backlog can span several batches. A newer delta
+// adopted in between must win over such a stale event whichever batch the
+// event lands in: the shard replays the state it adopted last.
+TEST(ShardTest, CrashReplayedHaloEventsYieldToNewerAdoptedStates) {
+  const Mesh2D m(32, 32);
+  const ShardGrid grid(m, 1, 2);
+  Shard shard(0, grid, grid::CellSet(m), IngestConfig{});
+  const Coord foreign{20, 6};
+  ASSERT_FALSE(grid.owns(0, foreign));
+
+  const auto deliver = [&](bool faulty, std::uint64_t version) {
+    const HaloDelta delta{.source = 1, .states = {{foreign, faulty, version}}};
+    (void)shard.apply({}, std::span(&delta, 1));
+  };
+  deliver(true, 1);
+  ASSERT_TRUE(shard.engine().labeling().faults().contains(foreign));
+  deliver(false, 2);
+  ASSERT_FALSE(shard.engine().labeling().faults().contains(foreign));
+
+  // The fault event derived from version 1, replayed after version 2.
+  const FaultEvent stale{EventKind::Fault, foreign};
+  (void)shard.apply(std::span(&stale, 1), {});
+  EXPECT_FALSE(shard.engine().labeling().faults().contains(foreign));
+}
+
 TEST(ShardedRoundsTest, BlockSpanningVerticalSeam) {
   const Mesh2D m(32, 32);
   // 1x2 shards: the vertical seam sits at a tile boundary (x = 16); the
