@@ -6,10 +6,15 @@
 // the committed qps/p99 table in EXPERIMENTS.md comes from.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "fault/generators.hpp"
 #include "svc/loadgen.hpp"
+#include "svc/snapshot.hpp"
 
 namespace {
 
@@ -276,5 +281,119 @@ BENCHMARK(BM_SvcShardedClosedLoop)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
+
+// Epoch turnover against route-cache size: a 64x64 machine at 1% uniform
+// faults, one fault toggled per epoch (a fresh node failed, then repaired
+// the next epoch), and N random enabled pairs re-warmed into the serving
+// epoch before each turnover, outside the timed region. BM_SnapshotNext
+// times `Snapshot::next`; BM_SnapshotRetire times dropping the predecessor,
+// which reclaims the route-store entries only it could still read. Both use
+// manual time, so the re-warm misses never count; `carried` and
+// `invalidated` are per-epoch means.
+class TurnoverBench {
+ public:
+  explicit TurnoverBench(std::size_t pairs)
+      : machine_(mesh::Mesh2D::square(64)), rng_(21) {
+    live_.emplace(fault::uniform_random(machine_, 41, rng_));
+    current_ = svc::Snapshot::build(0, *live_);
+    while (pairs_.size() < pairs) {
+      const mesh::Coord src = random_node();
+      const mesh::Coord dst = random_node();
+      if (src != dst && current_->status_of(src) == svc::NodeStatus::Enabled &&
+          current_->status_of(dst) == svc::NodeStatus::Enabled) {
+        pairs_.emplace_back(src, dst);
+      }
+    }
+  }
+
+  /// Re-warms the serving epoch and applies the next toggle to the
+  /// labeling; returns the (dirty, padded) tile masks of its delta.
+  std::pair<std::uint64_t, std::uint64_t> prepare() {
+    for (const auto& [src, dst] : pairs_) (void)current_->route(src, dst);
+    labeling::EventDelta delta;
+    if (toggled_) {
+      delta = live_->remove_fault(*toggled_);
+      toggled_.reset();
+    } else {
+      mesh::Coord node = random_node();
+      while (live_->faults().contains(node)) node = random_node();
+      delta = live_->add_fault(node);
+      toggled_ = node;
+    }
+    std::uint64_t dirty = 0;
+    std::uint64_t padded = 0;
+    for (const mesh::Coord c : delta.dirty_cells) {
+      dirty |= current_->tiles().bit_of(c);
+      padded |= current_->tiles().padded_bits(c);
+    }
+    return {dirty, padded};
+  }
+
+  std::shared_ptr<const svc::Snapshot> next(std::uint64_t dirty,
+                                            std::uint64_t padded) {
+    return svc::Snapshot::next(*current_, ++epoch_, *live_, dirty, padded);
+  }
+
+  /// Installs `next` as the serving epoch; returns the predecessor.
+  std::shared_ptr<const svc::Snapshot> publish(
+      std::shared_ptr<const svc::Snapshot> next) {
+    return std::exchange(current_, std::move(next));
+  }
+
+ private:
+  mesh::Coord random_node() {
+    return {static_cast<std::int32_t>(rng_.uniform_int(0, 63)),
+            static_cast<std::int32_t>(rng_.uniform_int(0, 63))};
+  }
+
+  mesh::Mesh2D machine_;
+  stats::Rng rng_;
+  std::optional<labeling::MaintainedLabeling> live_;
+  std::shared_ptr<const svc::Snapshot> current_;
+  std::vector<std::pair<mesh::Coord, mesh::Coord>> pairs_;
+  std::optional<mesh::Coord> toggled_;
+  std::uint64_t epoch_ = 0;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+void BM_SnapshotNext(benchmark::State& state) {
+  TurnoverBench bench(static_cast<std::size_t>(state.range(0)));
+  double carried = 0;
+  double invalidated = 0;
+  for (auto _ : state) {
+    const auto [dirty, padded] = bench.prepare();
+    const auto start = std::chrono::steady_clock::now();
+    auto next = bench.next(dirty, padded);
+    state.SetIterationTime(seconds_since(start));
+    carried += static_cast<double>(next->cache_carry_stats().carried);
+    invalidated += static_cast<double>(next->cache_carry_stats().invalidated);
+    bench.publish(std::move(next));
+  }
+  state.counters["carried"] =
+      benchmark::Counter(carried, benchmark::Counter::kAvgIterations);
+  state.counters["invalidated"] =
+      benchmark::Counter(invalidated, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SnapshotNext)->Arg(0)->Arg(1000)->Arg(4096)->Iterations(200)
+    ->UseManualTime()->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotRetire(benchmark::State& state) {
+  TurnoverBench bench(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto [dirty, padded] = bench.prepare();
+    std::shared_ptr<const svc::Snapshot> prev =
+        bench.publish(bench.next(dirty, padded));
+    const auto start = std::chrono::steady_clock::now();
+    prev.reset();
+    state.SetIterationTime(seconds_since(start));
+  }
+}
+BENCHMARK(BM_SnapshotRetire)->Arg(0)->Arg(1000)->Arg(4096)->Iterations(200)
+    ->UseManualTime()->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -277,8 +277,17 @@ std::vector<FaultEvent> IngestEngine::crash_and_recover() {
 }
 
 IngestStats IngestEngine::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  IngestStats stats;
+  {
+    std::lock_guard lock(stats_mu_);
+    stats = stats_;
+  }
+  const routing::RouteCache::StoreStats routes =
+      snapshot()->route_cache().store_stats();
+  stats.route_entries_live = routes.live;
+  stats.route_entries_awaiting = routes.awaiting;
+  stats.route_bytes = routes.bytes;
+  return stats;
 }
 
 std::optional<check::ViolationReport> IngestEngine::last_violation() const {

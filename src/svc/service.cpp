@@ -297,9 +297,9 @@ RouteAnswer Service::query_route(mesh::Coord src, mesh::Coord dst) const {
             .route = snap.route(src, dst)};
   }
   // Contention attribution (round-level tracing only): how many reader-lock
-  // acquisitions this query's window saw on the epoch's route cache —
-  // concurrent route queries against the same epoch share that lock, so the
-  // instant stream exposes exactly the shared state a flat qps curve hides.
+  // acquisitions this query's window saw on the epoch's route cache. Hits
+  // probe the route store without a lock, so the instant reads 0; it stays
+  // in the stream so a flat qps curve can rule the cache out.
   const std::uint64_t before = snap.route_cache().shared_lock_acquisitions();
   RouteAnswer answer{.status = QueryStatus::Ok,
                      .epoch = snap.epoch(),
