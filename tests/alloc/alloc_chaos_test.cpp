@@ -80,5 +80,24 @@ TEST(AllocChaosTest, SchedulesRenderAsOneLineRepros) {
   EXPECT_EQ(to_string(schedule), "J8 F4 W K F9 T4 R2");
 }
 
+TEST(AllocChaosTest, GeneratedSchedulesArePinned) {
+  // Golden repros of the seeded generator, recorded before the op rendering
+  // was shared with the serving explorer.
+  const char* const expected[] = {
+      "J2 F1 F11 F1 F8 J7 T3 F3 J10 F4 J9 F4 W "
+      "K F4 J2 J9 T10 F7 F3 F11 F1 J11 J7 J7 K",
+      "K R10 K J2 J2 J9 T12 R2 J1 K F5 F1 W "
+      "K F1 F6 T4 F2 F3 F5 K J5 F9 F10 K J10",
+      "F3 F5 F5 T6 T2 J8 F11 J1 J10 K F5 J1 W "
+      "K F1 R4 J5 T7 J8 J6 T11 T2 R6 K T8 T5",
+      "T6 F1 F1 R1 T10 T6 F5 K T5 J11 T11 J12 W "
+      "K F6 J3 R12 J4 J3 J10 T1 T4 R3 J7 K J12",
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_EQ(to_string(generate_alloc_schedule(seed, 24)), expected[seed - 1])
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace ocp::chaos

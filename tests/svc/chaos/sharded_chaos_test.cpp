@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "chaos/schedule.hpp"
 #include "svc/loadgen.hpp"
@@ -185,6 +186,41 @@ TEST(ShardedScheduleTest, SeededExplorationSweepPasses) {
     EXPECT_TRUE(result.ok())
         << "seed " << seed << ": "
         << (result.violations.empty() ? "" : result.violations.front());
+  }
+}
+
+TEST(ShardedScheduleTest, GeneratedSchedulesArePinned) {
+  // Golden op lists of the seeded sharded generator, recorded before the
+  // runner was shared with the single-writer explorer. Rendered here as
+  // kind letter, count and target shard per op.
+  const auto render = [](const std::vector<ShardedOp>& ops) {
+    std::string out;
+    for (const ShardedOp& op : ops) {
+      switch (op.kind) {
+        case ShardedOpKind::Submit: out += 'S'; break;
+        case ShardedOpKind::Flush: out += 'F'; break;
+        case ShardedOpKind::Query: out += 'Q'; break;
+        case ShardedOpKind::KillShard: out += 'X'; break;
+        case ShardedOpKind::RestartShard: out += 'K'; break;
+      }
+      out += std::to_string(op.count) + '@' + std::to_string(op.shard) + ' ';
+    }
+    return out;
+  };
+  const char* const expected[] = {
+      "S3@0 Q1@0 Q15@0 Q2@0 Q11@0 S9@0 X4@1 S5@0 X8@1 S12@0 Q5@0 S2@0 S2@0 "
+      "F0@0 F0@0 X7@2 Q4@0 Q15@0 Q1@0 S15@0 S9@0 S9@0 K0@2 K0@3 ",
+      "K0@3 X15@1 S4@0 S1@0 F0@0 F0@0 K0@3 S4@0 S16@0 Q6@0 Q1@0 S8@0 Q13@0 "
+      "S8@0 S6@0 S7@0 Q16@0 S7@0 Q11@0 Q13@0 K0@0 X14@2 Q7@0 X3@3 ",
+      "Q4@0 Q6@0 Q6@0 F0@0 Q12@0 S2@0 Q10@0 K0@1 S5@0 X16@1 Q4@0 S2@0 X5@1 "
+      "Q11@0 Q1@0 F0@0 S8@0 F0@0 K0@2 S15@0 Q16@0 F0@0 F0@0 F0@0 ",
+      "X8@2 S9@0 S14@0 S13@0 X11@1 Q6@0 K0@2 Q4@0 K0@2 X6@3 Q5@0 S15@0 K0@0 "
+      "S5@0 S2@0 X13@0 F0@0 S15@0 S3@0 Q16@0 S16@0 K0@2 Q13@0 Q12@0 ",
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_EQ(render(generate_sharded_schedule(seed, 24, 4)),
+              expected[seed - 1])
+        << "seed " << seed;
   }
 }
 

@@ -417,5 +417,34 @@ TEST(ShardedServiceTest, CompositeDigestHelperAgreesWithServiceAccessor) {
             composite_label_digest(service.shard_grid(), service.snapshots()));
 }
 
+// Golden pins of the canned profiles on a 2x2 fleet, recorded before the
+// closed-loop driver was shared between the two serving fronts. The stream
+// digests equal the single-writer pins (same seed forks) and the composite
+// digests equal the single-writer final digests (the sharding invariant).
+TEST(ShardedServiceTest, ProfileDigestsArePinnedOnATwoByTwoFleet) {
+  struct Pin {
+    const char* name;
+    SvcLoadConfig (*profile)(std::size_t);
+    std::uint64_t stream_digest;
+    std::uint64_t final_digest;
+  };
+  const Pin pins[] = {
+      {"query_heavy", query_heavy_profile, 0xe85aa916f1dd70fcULL,
+       0x4a2cf5abcde3e9b3ULL},
+      {"ingest_heavy", ingest_heavy_profile, 0xec4111b5e5a5d7b1ULL,
+       0x35ae30b9294d006dULL},
+      {"mixed_rate", mixed_rate_profile, 0xe4f5a50c7300dbacULL,
+       0x588c970c7f90156fULL},
+  };
+  for (const Pin& pin : pins) {
+    SvcLoadConfig config = pin.profile(1);
+    config.queries_per_thread = 100;
+    const auto result =
+        run_sharded_load(config, {.shard_rows = 2, .shard_cols = 2});
+    EXPECT_EQ(result.stream_digest, pin.stream_digest) << pin.name;
+    EXPECT_EQ(result.final_digest, pin.final_digest) << pin.name;
+  }
+}
+
 }  // namespace
 }  // namespace ocp::svc

@@ -134,5 +134,36 @@ TEST(SvcStressTest, LoadRunQuiescesToStreamFinalState) {
                 ->label_digest());
 }
 
+// Golden pins of the canned profiles' replay identity, recorded before the
+// closed-loop driver was shared between the two serving fronts: a refactor
+// of the driver must reproduce the seeded stream and its final labeling bit
+// for bit. One query thread with a short query run; the digests do not
+// depend on the query side.
+struct ProfilePin {
+  const char* name;
+  SvcLoadConfig (*profile)(std::size_t);
+  std::uint64_t stream_digest;
+  std::uint64_t final_digest;
+};
+
+constexpr ProfilePin kProfilePins[] = {
+    {"query_heavy", query_heavy_profile, 0xe85aa916f1dd70fcULL,
+     0x4a2cf5abcde3e9b3ULL},
+    {"ingest_heavy", ingest_heavy_profile, 0xec4111b5e5a5d7b1ULL,
+     0x35ae30b9294d006dULL},
+    {"mixed_rate", mixed_rate_profile, 0xe4f5a50c7300dbacULL,
+     0x588c970c7f90156fULL},
+};
+
+TEST(SvcStressTest, ProfileDigestsArePinned) {
+  for (const ProfilePin& pin : kProfilePins) {
+    SvcLoadConfig config = pin.profile(1);
+    config.queries_per_thread = 100;
+    const auto result = run_svc_load(config);
+    EXPECT_EQ(result.stream_digest, pin.stream_digest) << pin.name;
+    EXPECT_EQ(result.final_digest, pin.final_digest) << pin.name;
+  }
+}
+
 }  // namespace
 }  // namespace ocp::svc
