@@ -73,7 +73,12 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
   for (const HaloDelta& delta : halo) {
     for (const HaloCellState& state : delta.states) {
       if (grid_->owns(index_, state.cell)) {
-        continue;  // single authority on owned cells: gossip never wins
+        // Single authority on owned cells: gossip never wins, but a sender
+        // that holds an outdated state gets the current one back.
+        if (state.version < versions_[state.cell]) {
+          stale_beliefs_.emplace_back(delta.source, state.cell);
+        }
+        continue;
       }
       std::uint64_t& stored = versions_[state.cell];
       if (state.version <= stored) continue;
@@ -94,11 +99,13 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
   if (batch_scratch_.empty() &&
       engine_.stale_epochs_pending() == 0) {
     result.outcome.epoch = engine_.snapshot()->epoch();
+    answer_stale_beliefs(result);
     return result;
   }
 
   result.outcome = engine_.apply(batch_scratch_);
   if (result.outcome.crashed) {
+    // The labeling rolled back; stale beliefs are answered after replay.
     result.interrupted = batch_scratch_;
     return result;
   }
@@ -110,8 +117,41 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
       versions_[event.node] = ++version_counter_;
     }
   }
+  emit_extent(result);
+  answer_stale_beliefs(result);
+  return result;
+}
 
-  if (result.outcome.dirty_cells.empty()) return result;
+void Shard::answer_stale_beliefs(ApplyResult& result) {
+  if (stale_beliefs_.empty()) return;
+  std::sort(stale_beliefs_.begin(), stale_beliefs_.end(),
+            [this](const auto& a, const auto& b) {
+              const mesh::Mesh2D& m = grid_->machine();
+              return a.first != b.first ? a.first < b.first
+                                        : m.index(a.second) < m.index(b.second);
+            });
+  stale_beliefs_.erase(
+      std::unique(stale_beliefs_.begin(), stale_beliefs_.end()),
+      stale_beliefs_.end());
+  const grid::CellSet& faults = engine_.labeling().faults();
+  for (const auto& [sender, cell] : stale_beliefs_) {
+    const auto entry = std::find_if(
+        result.outgoing.begin(), result.outgoing.end(),
+        [sender](const auto& out) { return out.first == sender; });
+    HaloDelta& delta =
+        entry != result.outgoing.end()
+            ? entry->second
+            : result.outgoing.emplace_back(sender, HaloDelta{index_, {}})
+                  .second;
+    delta.states.push_back({cell, faults.contains(cell), versions_[cell]});
+  }
+  stale_beliefs_.clear();
+  std::sort(result.outgoing.begin(), result.outgoing.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+void Shard::emit_extent(ApplyResult& result) {
+  if (result.outcome.dirty_cells.empty()) return;
 
   // Dedupe the extent and find which foreign shards it touches.
   extent_scratch_ = result.outcome.dirty_cells;
@@ -141,7 +181,7 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
     add_owner(c);
     for (const mesh::Link& l : m.neighbors(c)) add_owner(l.to);
   }
-  if (targets.empty()) return result;
+  if (targets.empty()) return;
   std::sort(targets.begin(), targets.end());
 
   // Every touched neighbor gets the whole extent (see header: a receiver
@@ -158,7 +198,6 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
   for (const std::uint32_t target : targets) {
     result.outgoing.emplace_back(target, delta);
   }
-  return result;
 }
 
 }  // namespace ocp::svc

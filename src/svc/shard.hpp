@@ -34,6 +34,15 @@
 //    lets gossip overwrite them. Version 0 (never flipped since
 //    construction) needs no exchange: both sides still hold the identical
 //    initial state.
+//  * An owned cell arriving with an OLDER version than the owner's stamp
+//    is a stale belief in the sender's replica: the owner flipped the cell
+//    after the sender last heard of it, in a batch whose extent never
+//    reached the sender. The sender relays the cell only because its own
+//    labeling now uses it, so the owner answers with the cell's current
+//    state and version. Without that answer the stale state would stand
+//    forever — the owner's later extents need not include the cell at all
+//    (a repaired cell far from every seam is in none) — and the sender
+//    would keep serving labels derived from it.
 //  * Adopting a state means feeding a synthetic fault/repair event through
 //    the shard's own engine (`set_fault_state` semantics: idempotent,
 //    state-asserting), which relabels, republished-snapshots, and — when
@@ -125,7 +134,8 @@ class Shard {
   struct ApplyResult {
     BatchOutcome outcome;
     /// Deltas to deliver, grouped per target shard, in ascending target
-    /// order. Empty when the batch's dirty extent stayed inside the shard.
+    /// order. Empty when the batch's dirty extent stayed inside the shard
+    /// and no sender needs a stale belief answered.
     std::vector<std::pair<std::uint32_t, HaloDelta>> outgoing;
     /// Synthetic events derived from incoming halo deltas this call (the
     /// gossip overhead a fixpoint round pays, for stats).
@@ -156,6 +166,12 @@ class Shard {
   [[nodiscard]] const IngestEngine& engine() const noexcept { return engine_; }
 
  private:
+  /// Sends the batch's deduped dirty extent to every shard it touches.
+  void emit_extent(ApplyResult& result);
+  /// Appends the current state of every recorded stale belief to the
+  /// delta for its sender.
+  void answer_stale_beliefs(ApplyResult& result);
+
   std::uint32_t index_;
   const ShardGrid* grid_;
   IngestEngine engine_;
@@ -173,6 +189,10 @@ class Shard {
   /// (survives engine crashes), so receivers' version gates stay correct
   /// across replays.
   std::uint64_t version_counter_ = 0;
+  /// (sender, owned cell) pairs a delta carried at an outdated version,
+  /// answered with the cell's current state by the next apply that does
+  /// not crash.
+  std::vector<std::pair<std::uint32_t, mesh::Coord>> stale_beliefs_;
   std::vector<FaultEvent> batch_scratch_;
   std::vector<mesh::Coord> extent_scratch_;
 };

@@ -255,6 +255,32 @@ TEST(ShardedRoundsTest, PropertyRandomChurnMatchesSingleWriter) {
   }
 }
 
+TEST(ShardedRoundsTest, LongSingleEventChurnMatchesSingleWriter) {
+  // Long churn applied one event per batch: an owner repairs a fault whose
+  // component touches no seam, so no delta reaches the other replicas, and
+  // later faults merge the stale copy into a component one of them labels
+  // its own cells with. Only the owner can correct that belief — it answers
+  // when the stale copy comes back in the believer's extent.
+  for (const Topology topology : {Topology::Mesh, Topology::Torus}) {
+    const Mesh2D m(32, 32, topology);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      stats::Rng rng(seed);
+      const grid::CellSet initial = fault::uniform_random(m, 10, rng);
+      const auto stream =
+          generate_event_stream(m, initial, 600, 0.45, seed * 31 + 1);
+      const std::uint64_t expected = single_writer_digest(initial, stream, 1);
+      for (const auto& [rows, cols] :
+           {std::pair{1, 2}, {2, 2}, {2, 4}, {4, 4}}) {
+        const ShardGrid grid(m, rows, cols);
+        EXPECT_EQ(run_sharded_rounds(grid, initial, stream, 1).composite_digest,
+                  expected)
+            << "seed " << seed << ", " << rows << "x" << cols << " shards, "
+            << (topology == Topology::Torus ? "torus" : "mesh");
+      }
+    }
+  }
+}
+
 TEST(ShardedRoundsTest, DeterministicAcrossRepeatRuns) {
   const Mesh2D m(32, 32);
   stats::Rng rng(11);
