@@ -258,7 +258,7 @@ void BM_SvcShardedClosedLoop(benchmark::State& state) {
   double p99 = 0.0;
   double halo_deltas = 0.0;
   for (auto _ : state) {
-    const svc::ShardedLoadResult result =
+    const svc::SvcLoadResult result =
         svc::run_sharded_load(config, fleet);
     answers += static_cast<std::int64_t>(
         result.queries_ok - result.batch_items / config.batch_size +

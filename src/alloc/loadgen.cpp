@@ -7,8 +7,6 @@
 #include <thread>
 
 #include "alloc/oracle.hpp"
-#include "analysis/trial_pool.hpp"
-#include "fault/generators.hpp"
 #include "stats/histogram.hpp"
 #include "svc/ingest.hpp"
 #include "svc/loadgen.hpp"
@@ -105,24 +103,16 @@ std::vector<svc::FaultEvent> storm_events(const mesh::Mesh2D& machine,
 }
 
 AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
   // Fork order is part of the replay contract: faults, churn stream, jobs,
-  // storm, then one seed per reader.
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const std::uint64_t job_seed = master.fork_seed();
-  stats::Rng storm_rng(master.fork_seed());
-  const auto reader_seeds =
-      analysis::fork_trial_seeds(master, config.reader_threads);
-  static_cast<void>(reader_seeds);
+  // then storm.
+  svc::SeededChurn churn = svc::seeded_churn(
+      config.mesh_side, config.topology, config.initial_faults,
+      config.fault_events, config.repair_fraction, config.seed);
+  const mesh::Mesh2D& machine = churn.machine;
+  const std::vector<svc::FaultEvent>& stream = churn.stream;
+  const std::uint64_t job_seed = churn.master.fork_seed();
+  stats::Rng storm_rng(churn.master.fork_seed());
 
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.fault_events, config.repair_fraction,
-      stream_seed);
   const std::vector<JobRequest> jobs = generate_job_stream(
       machine, config.jobs, config.max_job_side, config.min_lifetime,
       config.max_lifetime, job_seed);
@@ -131,7 +121,7 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
       static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.height() - 1))};
 
   AllocLoadResult result;
-  result.stream_digest = svc::event_stream_digest(stream);
+  result.stream_digest = churn.stream_digest;
   result.job_digest = job_stream_digest(jobs);
 
   // The ingest engine feeds every published epoch into the alloc engine
@@ -143,7 +133,7 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
                                       std::span<const mesh::Coord> dirty) {
     if (alloc) alloc->observe_epoch(snap, dirty);
   };
-  svc::IngestEngine ingest(initial, ingest_config);
+  svc::IngestEngine ingest(churn.initial, ingest_config);
 
   AllocConfig alloc_config;
   alloc_config.strategy = config.strategy;

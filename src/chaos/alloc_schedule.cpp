@@ -2,17 +2,23 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "alloc/loadgen.hpp"
 #include "alloc/oracle.hpp"
-#include "fault/generators.hpp"
+#include "chaos/schedule.hpp"
 #include "svc/ingest.hpp"
-#include "svc/loadgen.hpp"
 
 namespace ocp::chaos {
 
 namespace {
+
+/// The repro alphabet, indexed by `AllocOpKind`.
+constexpr std::array<OpLetter, 6> kAllocAlphabet = {{{'J', true},
+                                                     {'F', true},
+                                                     {'W', false},
+                                                     {'T', true},
+                                                     {'R', true},
+                                                     {'K', false}}};
 
 /// One execution of a schedule (chaotic or shadow) and what it ended with.
 struct ExecOutcome {
@@ -29,19 +35,14 @@ struct ExecOutcome {
 
 ExecOutcome execute(const AllocScheduleConfig& config,
                     const std::vector<AllocOp>& schedule, bool with_chaos) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
+  svc::SeededChurn churn = svc::seeded_churn(
+      config.mesh_side, config.topology, config.initial_faults, config.events,
+      config.repair_fraction, config.seed);
+  const mesh::Mesh2D& machine = churn.machine;
+  const std::vector<svc::FaultEvent>& stream = churn.stream;
   // Same fork order as run_alloc_load minus the reader seeds.
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const std::uint64_t job_seed = master.fork_seed();
-  stats::Rng storm_rng(master.fork_seed());
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
+  const std::uint64_t job_seed = churn.master.fork_seed();
+  stats::Rng storm_rng(churn.master.fork_seed());
   const std::vector<alloc::JobRequest> jobs = alloc::generate_job_stream(
       machine, config.jobs, config.max_job_side, config.min_lifetime,
       config.max_lifetime, job_seed);
@@ -59,7 +60,7 @@ ExecOutcome execute(const AllocScheduleConfig& config,
                                        std::span<const mesh::Coord> dirty) {
     if (engine) engine->observe_epoch(snap, dirty);
   };
-  svc::IngestEngine ingest(initial, ingest_config);
+  svc::IngestEngine ingest(churn.initial, ingest_config);
 
   alloc::AllocConfig alloc_config;
   alloc_config.strategy = config.strategy;
@@ -164,11 +165,7 @@ std::vector<AllocOp> generate_alloc_schedule(std::uint64_t seed,
                                              std::size_t ops,
                                              std::size_t max_burst) {
   stats::Rng rng(seed);
-  const auto burst = [&] {
-    return static_cast<std::uint16_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(std::max<std::size_t>(
-                               max_burst, 1))));
-  };
+  const auto burst = [&] { return random_burst(rng, max_burst); };
   std::vector<AllocOp> schedule;
   schedule.reserve(ops + 3);
   const std::size_t mid = ops / 2;
@@ -243,21 +240,7 @@ AllocScheduleResult run_alloc_schedule(const AllocScheduleConfig& config,
 }
 
 std::string to_string(const std::vector<AllocOp>& schedule) {
-  std::ostringstream os;
-  bool first = true;
-  for (const AllocOp& op : schedule) {
-    if (!first) os << ' ';
-    first = false;
-    switch (op.kind) {
-      case AllocOpKind::SubmitJobs: os << 'J' << op.count; break;
-      case AllocOpKind::Faults: os << 'F' << op.count; break;
-      case AllocOpKind::Storm: os << 'W'; break;
-      case AllocOpKind::Tick: os << 'T' << op.count; break;
-      case AllocOpKind::Release: os << 'R' << op.count; break;
-      case AllocOpKind::Kill: os << 'K'; break;
-    }
-  }
-  return os.str();
+  return render_ops(schedule, kAllocAlphabet);
 }
 
 }  // namespace ocp::chaos

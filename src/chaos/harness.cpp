@@ -6,74 +6,30 @@
 #include <vector>
 
 #include "analysis/trial_pool.hpp"
-#include "fault/generators.hpp"
-#include "stats/rng.hpp"
+#include "chaos/schedule.hpp"
 
 namespace ocp::chaos {
 
-namespace {
-
-/// Submits the whole stream with seeded backoff, never shedding. Returns
-/// total retries.
-std::uint64_t submit_stream(svc::Service& service,
-                            const std::vector<svc::FaultEvent>& stream,
-                            const svc::BackoffPolicy& backoff) {
-  std::uint64_t retries = 0;
-  for (const svc::FaultEvent& event : stream) {
-    std::uint64_t attempt = 0;
-    while (service.submit(event) != svc::SubmitStatus::Accepted) {
-      ++retries;
-      const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-      if (delay_us == 0) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      }
-    }
-  }
-  return retries;
-}
-
-}  // namespace
-
 ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             mesh::Topology::Mesh);
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
+  svc::SeededChurn churn = svc::seeded_churn(
+      config.mesh_side, mesh::Topology::Mesh, config.initial_faults,
+      config.events, config.repair_fraction, config.seed);
   const std::vector<std::uint64_t> worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
+      analysis::fork_trial_seeds(churn.master, config.query_threads);
 
   ChaosLoadResult result;
+  // The control: a clean labeling of the net fault set. The chaotic run
+  // must publish exactly this however its batches were delivered.
+  result.clean_digest =
+      svc::clean_label_digest(churn.net_faults, config.service.ingest);
 
-  // Control: the same stream through an untouched service. Single-threaded
-  // submit + flush is enough — the digest is timing-independent by the
-  // runtime's own replay-identity contract.
-  {
-    svc::ServiceConfig clean_config = config.service;
-    clean_config.queue_capacity =
-        std::max(clean_config.queue_capacity, config.events + 16);
-    svc::Service clean(initial, clean_config);
-    result.submit_retries += submit_stream(clean, stream, {});
-    clean.flush();
-    const auto snap = clean.snapshot();
-    result.clean_digest = snap->label_digest();
-    result.clean_epoch = snap->epoch();
-  }
-
-  // Chaotic run: armed plan, racing query threads, supervisor restarts.
+  // The run: armed plan, racing query threads, supervisor restarts.
   FaultPlan plan(config.plan);
   svc::ServiceConfig chaos_config = config.service;
   chaos_config.queue_capacity =
       std::max(chaos_config.queue_capacity, 2 * config.events + 64);
   chaos_config.ingest.chaos.plan = &plan;
-  svc::Service service(initial, chaos_config);
+  svc::Service service(churn.initial, chaos_config);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> restarts{0};
@@ -108,32 +64,13 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
     workers.emplace_back([&, t] {
       stats::Rng rng(worker_seeds[t]);
       WorkerRecord& rec = records[t];
-      std::uint64_t last_epoch = 0;
-      const auto node = [&] {
-        return machine.coord(static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(machine.node_count()) - 1)));
-      };
+      svc::EpochTracker epochs(1);
       for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
-        svc::QueryStatus status;
-        std::uint64_t epoch;
-        const double pick = rng.uniform();
-        if (pick < 0.5) {
-          const svc::StatusAnswer answer = service.query_status(node());
-          status = answer.status;
-          epoch = answer.epoch;
-        } else if (pick < 0.8) {
-          const svc::RegionAnswer answer = service.query_region(node());
-          status = answer.status;
-          epoch = answer.epoch;
-        } else {
-          const svc::RouteAnswer answer = service.query_route(node(), node());
-          status = answer.status;
-          epoch = answer.epoch;
-        }
-        if (status == svc::QueryStatus::Ok) {
+        const svc::QueryStep step =
+            svc::random_query(service, churn.machine, rng);
+        if (step.status == svc::QueryStatus::Ok) {
           ++rec.ok;
-          if (epoch < last_epoch) rec.monotone = false;
-          last_epoch = std::max(last_epoch, epoch);
+          if (!epochs.note(step.shard, step.epoch)) rec.monotone = false;
         } else {
           ++rec.rejected;
         }
@@ -143,7 +80,11 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
 
   svc::BackoffPolicy backoff = config.submit_backoff;
   if (backoff.base_us == 0) backoff.base_us = 2;  // never spin under chaos
-  result.submit_retries += submit_stream(service, stream, backoff);
+  std::uint64_t slept_us = 0;
+  for (const svc::FaultEvent& event : churn.stream) {
+    static_cast<void>(svc::submit_with_backoff(
+        service, event, backoff, result.submit_retries, slept_us));
+  }
 
   for (std::thread& worker : workers) worker.join();
 
@@ -163,13 +104,7 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
   // Quiesce the chaotic run: stop injecting, let the supervisor catch any
   // in-flight kill, drain, and retry any withheld publication.
   plan.disarm();
-  for (int i = 0; i < 8; ++i) {
-    if (service.restart_ingest()) restarts.fetch_add(1);
-    service.flush();
-    if (!service.ingest_crashed()) break;
-  }
-  service.retry_publish();
-  service.flush();
+  restarts.fetch_add(quiesce(service));
   done.store(true, std::memory_order_relaxed);
   monitor.join();
 

@@ -1,15 +1,15 @@
-// Chaos load harness: one chaotic closed-loop run, one clean control run,
-// digest-compared.
+// Chaos load harness: one chaotic closed-loop run, digest-compared with a
+// clean labeling of the net fault set.
 //
-// `run_chaos_load` replays the same seeded event stream twice through a
-// `svc::Service` — once with an armed chaos plan (denied admissions,
-// duplicated / deferred / stalled batches, poisoned oracle verdicts,
-// mid-batch kills with restart) while query threads race it, and once
-// untouched — then asserts the degraded-mode contract: the chaotic run's
-// final published labeling is bit-identical (`label_digest`) to the clean
-// run's, every query thread observed monotone epochs, and the staleness
-// watermark drained to zero. A monitor thread plays supervisor: it polls
-// for a killed ingest thread and restarts it, the way an init system would
+// `run_chaos_load` replays the seeded churn (`svc::seeded_churn`) through a
+// `svc::Service` with an armed chaos plan (denied admissions, duplicated /
+// deferred / stalled batches, poisoned oracle verdicts, mid-batch kills
+// with restart) while query threads race it, then asserts the
+// degraded-mode contract: the final published labeling is bit-identical
+// (`label_digest`) to a clean labeling of the stream's net fault set,
+// every query thread observed monotone epochs, and the staleness watermark
+// drained to zero. A monitor thread plays supervisor: it polls for a
+// killed ingest thread and restarts it, the way an init system would
 // restart a crashed process.
 //
 // This is the engine behind the `chaos`-labeled ctests (1/2/8 query
@@ -31,7 +31,7 @@ struct ChaosLoadConfig {
   std::size_t query_threads = 2;
   std::size_t queries_per_thread = 400;
   std::uint64_t seed = 1;
-  /// Injections for the chaotic run; the control run never sees a plan.
+  /// Injections for the run.
   PlanSpec plan;
   /// Supervisor poll interval for crashed-writer restarts.
   std::uint32_t monitor_poll_us = 50;
@@ -40,16 +40,15 @@ struct ChaosLoadConfig {
 };
 
 struct ChaosLoadResult {
-  /// `label_digest` of the final quiesced snapshot of each run; the
-  /// acceptance invariant is `digest_match` (chaos changed nothing about
-  /// the converged state).
+  /// `label_digest` of a clean labeling of the net fault set and of the
+  /// chaotic run's final quiesced snapshot; the acceptance invariant is
+  /// `digest_match` (chaos changed nothing about the converged state).
   std::uint64_t clean_digest = 0;
   std::uint64_t chaos_digest = 0;
   bool digest_match = false;
   std::size_t final_faults = 0;
-  /// Epoch counts CAN differ between the runs (defers merge batches,
-  /// withheld epochs retry); exposed for reporting, not asserted.
-  std::uint64_t clean_epoch = 0;
+  /// The epoch the chaotic run ended at (defers merge batches, withheld
+  /// epochs retry); exposed for reporting, not asserted.
   std::uint64_t chaos_epoch = 0;
 
   /// Chaotic-run observations.

@@ -1,14 +1,9 @@
 #include "chaos/schedule.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <memory>
-#include <sstream>
-#include <thread>
 
-#include "fault/generators.hpp"
-#include "stats/rng.hpp"
+#include "check/shrink.hpp"
 
 namespace ocp::chaos {
 
@@ -19,28 +14,264 @@ namespace {
 /// itself an invariant violation, reported instead of hung on.
 constexpr std::uint64_t kSubmitRetryLimit = 100000;
 
-char op_letter(OpKind kind) {
-  switch (kind) {
-    case OpKind::Submit: return 'S';
-    case OpKind::Pause: return 'P';
-    case OpKind::Resume: return 'R';
-    case OpKind::Flush: return 'F';
-    case OpKind::Query: return 'Q';
-    case OpKind::RetryPublish: return 'Y';
-    case OpKind::Restart: return 'K';
-  }
-  return '?';
+/// The single-writer repro alphabet, indexed by `OpKind`.
+constexpr std::array<OpLetter, 7> kOpAlphabet = {{{'S', true},
+                                                  {'P', false},
+                                                  {'R', false},
+                                                  {'F', false},
+                                                  {'Q', true},
+                                                  {'Y', false},
+                                                  {'K', false}}};
+
+// -- The front-specific half of a schedule run, in one place: plan wiring,
+// writer lifecycle and what a quiesced front reports. --------------------
+
+std::uint32_t shards_of(const svc::ServiceConfig&, const mesh::Mesh2D&) {
+  return 1;
+}
+std::uint32_t shards_of(const svc::ShardedServiceConfig& config,
+                        const mesh::Mesh2D& machine) {
+  return svc::ShardGrid(machine, config.shard_rows, config.shard_cols).count();
 }
 
+void install_plans(svc::ServiceConfig& config,
+                   const std::vector<std::unique_ptr<FaultPlan>>& plans) {
+  config.ingest.chaos.plan = plans.front().get();
+}
+void install_plans(svc::ShardedServiceConfig& config,
+                   const std::vector<std::unique_ptr<FaultPlan>>& plans) {
+  config.shard_chaos.clear();
+  for (const auto& plan : plans) config.shard_chaos.push_back({plan.get()});
+}
+
+bool crashed(const svc::Service& service) { return service.ingest_crashed(); }
+bool crashed(const svc::ShardedService& fleet) {
+  return fleet.any_shard_crashed();
+}
+
+bool restart(svc::Service& service, std::uint32_t) {
+  return service.restart_ingest();
+}
+bool restart(svc::ShardedService& fleet, std::uint32_t shard) {
+  return fleet.restart_shard(shard);
+}
+
+/// Restarts crashed writers and flushes until none is down; returns the
+/// restarts. The bound is defensive: one pass suffices once disarmed.
+template <class Front>
+std::uint64_t restart_until_alive(Front& front) {
+  std::uint64_t restarts = 0;
+  for (int i = 0; i < 8; ++i) {
+    for (std::uint32_t s = 0; s < svc::shard_count(front); ++s) {
+      if (restart(front, s)) ++restarts;
+    }
+    front.flush();
+    if (!crashed(front)) break;
+  }
+  return restarts;
+}
+
+/// One schedule execution: the seeded churn, the front under its plans,
+/// and the invariant bookkeeping every op shares.
+template <class Front, class FrontConfig>
+class Execution {
+ public:
+  explicit Execution(const BasicScheduleConfig<FrontConfig>& config)
+      : config_(config),
+        churn_(svc::seeded_churn(config.mesh_side, mesh::Topology::Mesh,
+                                 config.initial_faults, config.events,
+                                 config.repair_fraction, config.seed)),
+        query_rng_(churn_.master.fork_seed()),
+        plans_(make_plans(config, churn_.machine)),
+        front_(churn_.initial, front_config()),
+        epochs_(svc::shard_count(front_)) {}
+
+  ScheduleResult run(const auto& schedule) {
+    for (const auto& op : schedule) apply(op);
+    // Quiesce: no further injections (an armed kill that never fired
+    // becomes a no-op), every event delivered, writers back, backlogs
+    // drained, withheld publications retried.
+    for (const auto& plan : plans_) plan->disarm();
+    submit(churn_.stream.size() - next_event_);
+    result_.restarts += quiesce(front_);
+    finish();
+    return std::move(result_);
+  }
+
+ private:
+  static std::vector<std::unique_ptr<FaultPlan>> make_plans(
+      const BasicScheduleConfig<FrontConfig>& config,
+      const mesh::Mesh2D& machine) {
+    std::vector<std::unique_ptr<FaultPlan>> plans;
+    for (std::uint32_t s = 0; s < shards_of(config.service, machine); ++s) {
+      PlanSpec spec = config.plan;
+      spec.seed += s;
+      plans.push_back(std::make_unique<FaultPlan>(std::move(spec)));
+    }
+    return plans;
+  }
+
+  FrontConfig front_config() const {
+    FrontConfig config = config_.service;
+    // Room for the whole stream plus crash-requeued backlogs: genuine
+    // Overloaded must be impossible so the only denials are chaos's.
+    config.queue_capacity =
+        std::max(config.queue_capacity, 2 * config_.events + 64);
+    install_plans(config, plans_);
+    return config;
+  }
+
+  void violate(std::string what) {
+    result_.violations.push_back(std::move(what));
+  }
+
+  void note_epoch(std::uint32_t shard, std::uint64_t epoch,
+                  const char* where) {
+    const std::uint64_t last = epochs_.last(shard);
+    if (!epochs_.note(shard, epoch)) {
+      std::ostringstream msg;
+      msg << where << ": shard " << shard << " epoch went backwards (" << last
+          << " -> " << epoch << ")";
+      violate(msg.str());
+    }
+  }
+
+  void submit(std::size_t n) {
+    const svc::BackoffPolicy backoff{.seed = config_.seed,
+                                     .retry_budget = kSubmitRetryLimit};
+    std::uint64_t slept_us = 0;
+    for (; n > 0 && next_event_ < churn_.stream.size(); --n, ++next_event_) {
+      switch (svc::submit_with_backoff(front_, churn_.stream[next_event_],
+                                       backoff, result_.submit_retries,
+                                       slept_us)) {
+        case svc::SubmitVerdict::Accepted: continue;
+        case svc::SubmitVerdict::Closed:
+          violate("submit: queue reported Closed while the service runs");
+          return;
+        case svc::SubmitVerdict::Exhausted:
+          violate("submit: live-locked retrying an Overloaded verdict");
+          return;
+      }
+    }
+  }
+
+  void query(std::size_t n) {
+    for (std::size_t q = 0; q < n; ++q) {
+      const svc::QueryStep step =
+          svc::random_query(front_, churn_.machine, query_rng_);
+      if (step.status != svc::QueryStatus::Ok) {
+        // Degraded-mode guarantee: valid point queries answer from the
+        // owner's last good epoch no matter what chaos does to the write
+        // side or to a sibling shard.
+        std::ostringstream msg;
+        msg << "query: expected Ok, got " << svc::to_string(step.status);
+        violate(msg.str());
+        ++result_.queries_rejected;
+      } else {
+        ++result_.queries_ok;
+        note_epoch(step.shard, step.epoch, "query");
+      }
+    }
+  }
+
+  void flush() {
+    front_.flush();
+    if (!crashed(front_) && front_.stats().queue_depth != 0) {
+      violate("flush: returned with a non-empty queue and a live writer");
+    }
+  }
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case OpKind::Submit: submit(op.count); break;
+      case OpKind::Pause: front_.pause(); break;
+      case OpKind::Resume: front_.resume(); break;
+      case OpKind::Flush: flush(); break;
+      case OpKind::Query: query(op.count); break;
+      case OpKind::RetryPublish: front_.retry_publish(); break;
+      case OpKind::Restart:
+        if (front_.restart_ingest()) ++result_.restarts;
+        break;
+    }
+  }
+
+  void apply(const ShardedOp& op) {
+    const std::uint32_t target = op.shard % svc::shard_count(front_);
+    switch (op.kind) {
+      case ShardedOpKind::Submit: submit(op.count); break;
+      case ShardedOpKind::Flush: flush(); break;
+      case ShardedOpKind::Query: query(op.count); break;
+      case ShardedOpKind::KillShard:
+        // Arm the kill at the victim's next publish, then push a burst: the
+        // burst is what makes the victim publish (and die) while neighbors
+        // keep draining the halo deltas its last good batches emitted.
+        plans_[target]->arm_kill(front_.stats().shard_epochs[target] + 1);
+        submit(op.count);
+        break;
+      case ShardedOpKind::RestartShard:
+        if (front_.restart_shard(target)) ++result_.restarts;
+        break;
+    }
+  }
+
+  void finish() {
+    const svc::FrontState state = svc::front_state(front_);
+    result_.final_digest = state.digest;
+    result_.final_faults = state.faults;
+    result_.stale_epochs_pending = state.stale_epochs_pending;
+    result_.halo_deltas = state.halo_deltas;
+    result_.halo_events = state.halo_events;
+    for (std::uint32_t s = 0; s < state.shard_epochs.size(); ++s) {
+      note_epoch(s, state.shard_epochs[s], "final");
+    }
+    result_.final_epoch = *std::max_element(state.shard_epochs.begin(),
+                                            state.shard_epochs.end());
+    for (const auto& plan : plans_) {
+      const PlanStats stats = plan->stats();
+      result_.injected.denies += stats.denies;
+      result_.injected.duplicates += stats.duplicates;
+      result_.injected.defers += stats.defers;
+      result_.injected.stalls += stats.stalls;
+      result_.injected.poisons += stats.poisons;
+      result_.injected.kills += stats.kills;
+    }
+    result_.expected_digest =
+        svc::clean_label_digest(churn_.net_faults, config_.service.ingest);
+    if (result_.final_digest != result_.expected_digest) {
+      std::ostringstream msg;
+      msg << "digest: final labeling diverged from the net fault set ("
+          << std::hex << result_.final_digest << " != "
+          << result_.expected_digest << std::dec << ", "
+          << result_.final_faults << " vs " << churn_.net_faults.size()
+          << " faults)";
+      violate(msg.str());
+    }
+    if (result_.stale_epochs_pending != 0) {
+      violate("staleness: watermark non-zero after quiesce");
+    }
+  }
+
+  const BasicScheduleConfig<FrontConfig>& config_;
+  svc::SeededChurn churn_;
+  stats::Rng query_rng_;
+  std::vector<std::unique_ptr<FaultPlan>> plans_;
+  Front front_;
+  svc::EpochTracker epochs_;
+  std::size_t next_event_ = 0;
+  ScheduleResult result_;
+};
+
 }  // namespace
+
+std::uint16_t random_burst(stats::Rng& rng, std::size_t max_burst) {
+  return static_cast<std::uint16_t>(rng.uniform_int(
+      1, static_cast<std::int64_t>(std::max<std::size_t>(1, max_burst))));
+}
 
 std::vector<Op> generate_schedule(std::uint64_t seed, std::size_t ops,
                                   std::size_t max_burst) {
   stats::Rng rng(seed);
-  const auto burst = [&rng, max_burst] {
-    return static_cast<std::uint16_t>(rng.uniform_int(
-        1, static_cast<std::int64_t>(std::max<std::size_t>(1, max_burst))));
-  };
+  const auto burst = [&] { return random_burst(rng, max_burst); };
   std::vector<Op> schedule;
   schedule.reserve(ops);
   for (std::size_t i = 0; i < ops; ++i) {
@@ -66,199 +297,12 @@ std::vector<Op> generate_schedule(std::uint64_t seed, std::size_t ops,
   return schedule;
 }
 
-ScheduleResult run_schedule(const ScheduleConfig& config,
-                            const std::vector<Op>& schedule) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             mesh::Topology::Mesh);
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  stats::Rng query_rng(master.fork_seed());
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-
-  // The expected end state is schedule-independent: every stream event is
-  // eventually submitted (leftovers at quiesce), nothing is ever shed, and
-  // events are state-setting — so the net fault set is this shadow replay.
-  grid::CellSet shadow = initial;
-  for (const svc::FaultEvent& e : stream) {
-    if (e.kind == svc::EventKind::Fault) {
-      shadow.insert(e.node);
-    } else {
-      shadow.erase(e.node);
-    }
-  }
-
-  FaultPlan plan(config.plan);
-  svc::ServiceConfig svc_config = config.service;
-  // Room for the whole stream plus crash-requeued backlogs: genuine
-  // Overloaded must be impossible so the only denials are chaos's.
-  svc_config.queue_capacity =
-      std::max(svc_config.queue_capacity, 2 * config.events + 64);
-  svc_config.ingest.chaos.plan = &plan;
-  svc::Service service(initial, svc_config);
-
-  ScheduleResult result;
-  std::size_t next_event = 0;
-  std::uint64_t last_epoch = 0;
-
-  const auto violate = [&result](std::string what) {
-    result.violations.push_back(std::move(what));
-  };
-  const auto note_epoch = [&](std::uint64_t epoch, const char* where) {
-    if (epoch < last_epoch) {
-      std::ostringstream msg;
-      msg << where << ": epoch went backwards (" << last_epoch << " -> "
-          << epoch << ")";
-      violate(msg.str());
-    }
-    last_epoch = std::max(last_epoch, epoch);
-  };
-
-  const auto submit_n = [&](std::size_t n) {
-    const svc::BackoffPolicy backoff{.seed = config.seed};
-    for (; n > 0 && next_event < stream.size(); --n, ++next_event) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const svc::SubmitStatus status = service.submit(stream[next_event]);
-        if (status == svc::SubmitStatus::Accepted) break;
-        if (status == svc::SubmitStatus::Closed) {
-          violate("submit: queue reported Closed while the service runs");
-          return;
-        }
-        ++result.submit_retries;
-        if (attempt >= kSubmitRetryLimit) {
-          violate("submit: live-locked retrying an Overloaded verdict");
-          return;
-        }
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-      }
-    }
-  };
-
-  const auto query_burst = [&](std::size_t n) {
-    for (std::size_t q = 0; q < n; ++q) {
-      const auto node = [&] {
-        return machine.coord(static_cast<std::size_t>(query_rng.uniform_int(
-            0, static_cast<std::int64_t>(machine.node_count()) - 1)));
-      };
-      const double pick = query_rng.uniform();
-      svc::QueryStatus status;
-      std::uint64_t epoch;
-      if (pick < 0.5) {
-        const svc::StatusAnswer answer = service.query_status(node());
-        status = answer.status;
-        epoch = answer.epoch;
-      } else if (pick < 0.8) {
-        const svc::RegionAnswer answer = service.query_region(node());
-        status = answer.status;
-        epoch = answer.epoch;
-      } else {
-        const svc::RouteAnswer answer = service.query_route(node(), node());
-        status = answer.status;
-        epoch = answer.epoch;
-      }
-      if (status != svc::QueryStatus::Ok) {
-        // Degraded-mode guarantee: valid queries answer from the last good
-        // epoch no matter what chaos does to the write side.
-        std::ostringstream msg;
-        msg << "query: expected Ok, got " << svc::to_string(status);
-        violate(msg.str());
-        ++result.queries_rejected;
-      } else {
-        ++result.queries_ok;
-        note_epoch(epoch, "query");
-      }
-    }
-  };
-
-  for (const Op& op : schedule) {
-    switch (op.kind) {
-      case OpKind::Submit:
-        submit_n(op.count);
-        break;
-      case OpKind::Pause:
-        service.pause();
-        break;
-      case OpKind::Resume:
-        service.resume();
-        break;
-      case OpKind::Flush: {
-        service.flush();
-        const svc::ServiceStats stats = service.stats();
-        if (!stats.ingest_crashed && stats.queue_depth != 0) {
-          violate("flush: returned with a non-empty queue and a live writer");
-        }
-        break;
-      }
-      case OpKind::Query:
-        query_burst(op.count);
-        break;
-      case OpKind::RetryPublish:
-        service.retry_publish();
-        break;
-      case OpKind::Restart:
-        if (service.restart_ingest()) ++result.restarts;
-        break;
-    }
-  }
-
-  // Quiesce: no further injections, every event delivered and drained, any
-  // pending kill already disarmed, withheld publications retried. The loop
-  // bound is defensive — one pass suffices once the plan is disarmed.
-  plan.disarm();
-  submit_n(stream.size() - next_event);
-  service.resume();
-  for (int i = 0; i < 8; ++i) {
-    if (service.restart_ingest()) ++result.restarts;
-    service.flush();
-    if (!service.ingest_crashed()) break;
-  }
-  service.retry_publish();
-  service.flush();
-
-  const std::shared_ptr<const svc::Snapshot> snap = service.snapshot();
-  result.final_digest = snap->label_digest();
-  result.final_faults = snap->faults().size();
-  result.final_epoch = snap->epoch();
-  result.stale_epochs_pending = service.stale_epochs_pending();
-  note_epoch(result.final_epoch, "final");
-  const labeling::MaintainedLabeling expected(shadow,
-                                              svc_config.ingest.definition);
-  result.expected_digest =
-      svc::Snapshot::build(0, expected, svc_config.ingest.hand)->label_digest();
-  if (result.final_digest != result.expected_digest) {
-    std::ostringstream msg;
-    msg << "digest: final labeling diverged from the net fault set ("
-        << std::hex << result.final_digest << " != " << result.expected_digest
-        << std::dec << ", " << result.final_faults << " vs " << shadow.size()
-        << " faults)";
-    violate(msg.str());
-  }
-  if (result.stale_epochs_pending != 0) {
-    violate("staleness: watermark non-zero after quiesce");
-  }
-  result.injected = plan.stats();
-  return result;
-}
-
 std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
                                                  std::size_t ops,
                                                  std::uint32_t shards,
                                                  std::size_t max_burst) {
   stats::Rng rng(seed);
-  const auto burst = [&rng, max_burst] {
-    return static_cast<std::uint16_t>(rng.uniform_int(
-        1, static_cast<std::int64_t>(std::max<std::size_t>(1, max_burst))));
-  };
+  const auto burst = [&] { return random_burst(rng, max_burst); };
   const auto shard = [&rng, shards] {
     return static_cast<std::uint8_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(std::max<std::uint32_t>(1, shards)) - 1));
@@ -284,208 +328,29 @@ std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
   return schedule;
 }
 
-ShardedScheduleResult run_sharded_schedule(
-    const ShardedScheduleConfig& config,
-    const std::vector<ShardedOp>& schedule) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  stats::Rng query_rng(master.fork_seed());
+ScheduleResult run_schedule(const ScheduleConfig& config,
+                            const std::vector<Op>& schedule) {
+  return Execution<svc::Service, svc::ServiceConfig>(config).run(schedule);
+}
 
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
+ScheduleResult run_schedule(const ShardedScheduleConfig& config,
+                            const std::vector<ShardedOp>& schedule) {
+  return Execution<svc::ShardedService, svc::ShardedServiceConfig>(config)
+      .run(schedule);
+}
 
-  // Schedule-independent expected end state: leftovers are submitted at
-  // quiesce and events are state-setting, so the net fault set is this
-  // shadow replay regardless of op order, kills or gossip interleaving.
-  grid::CellSet shadow = initial;
-  for (const svc::FaultEvent& e : stream) {
-    if (e.kind == svc::EventKind::Fault) {
-      shadow.insert(e.node);
-    } else {
-      shadow.erase(e.node);
-    }
-  }
-
-  svc::ShardedServiceConfig svc_config = config.service;
-  svc_config.queue_capacity =
-      std::max(svc_config.queue_capacity, 2 * config.events + 64);
-  const svc::ShardGrid grid(machine, svc_config.shard_rows,
-                            svc_config.shard_cols);
-  const std::uint32_t shard_count = grid.count();
-
-  // One plan per shard, no probabilistic injections: kills are armed
-  // dynamically (arm_kill) against the victim's live epoch, so the schedule
-  // — not the spec — decides who dies and when.
-  std::vector<std::unique_ptr<FaultPlan>> plans;
-  plans.reserve(shard_count);
-  svc_config.shard_chaos.clear();
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    plans.push_back(std::make_unique<FaultPlan>(
-        PlanSpec{.seed = config.seed + s}));
-    svc_config.shard_chaos.push_back(ChaosConfig{plans.back().get()});
-  }
-  svc::ShardedService service(initial, svc_config);
-
-  ShardedScheduleResult result;
-  std::size_t next_event = 0;
-  std::vector<std::uint64_t> last_epochs(shard_count, 0);
-
-  const auto violate = [&result](std::string what) {
-    result.violations.push_back(std::move(what));
-  };
-  const auto note_epoch = [&](std::uint32_t shard, std::uint64_t epoch,
-                              const char* where) {
-    if (epoch < last_epochs[shard]) {
-      std::ostringstream msg;
-      msg << where << ": shard " << shard << " epoch went backwards ("
-          << last_epochs[shard] << " -> " << epoch << ")";
-      violate(msg.str());
-    }
-    last_epochs[shard] = std::max(last_epochs[shard], epoch);
-  };
-
-  const auto submit_n = [&](std::size_t n) {
-    const svc::BackoffPolicy backoff{.seed = config.seed};
-    for (; n > 0 && next_event < stream.size(); --n, ++next_event) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const svc::SubmitStatus status = service.submit(stream[next_event]);
-        if (status == svc::SubmitStatus::Accepted) break;
-        if (status == svc::SubmitStatus::Closed) {
-          violate("submit: queue reported Closed while the service runs");
-          return;
-        }
-        ++result.submit_retries;
-        if (attempt >= kSubmitRetryLimit) {
-          violate("submit: live-locked retrying an Overloaded verdict");
-          return;
-        }
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-      }
-    }
-  };
-
-  const auto query_burst = [&](std::size_t n) {
-    for (std::size_t q = 0; q < n; ++q) {
-      const auto node = [&] {
-        return machine.coord(static_cast<std::size_t>(query_rng.uniform_int(
-            0, static_cast<std::int64_t>(machine.node_count()) - 1)));
-      };
-      const double pick = query_rng.uniform();
-      svc::QueryStatus status;
-      std::uint64_t epoch;
-      mesh::Coord owner_key;
-      if (pick < 0.5) {
-        const mesh::Coord n0 = node();
-        const svc::StatusAnswer answer = service.query_status(n0);
-        status = answer.status;
-        epoch = answer.epoch;
-        owner_key = n0;
-      } else if (pick < 0.8) {
-        const mesh::Coord n0 = node();
-        const svc::RegionAnswer answer = service.query_region(n0);
-        status = answer.status;
-        epoch = answer.epoch;
-        owner_key = n0;
-      } else {
-        const mesh::Coord src = node();
-        const svc::RouteAnswer answer = service.query_route(src, node());
-        status = answer.status;
-        epoch = answer.epoch;
-        owner_key = src;  // a route answer's epoch is the source owner's
-      }
-      if (status != svc::QueryStatus::Ok) {
-        // Degraded-mode guarantee: point queries answer from the owner's
-        // last good epoch even while a sibling shard is down.
-        std::ostringstream msg;
-        msg << "query: expected Ok, got " << svc::to_string(status);
-        violate(msg.str());
-      } else {
-        ++result.queries_ok;
-        note_epoch(service.shard_of(owner_key), epoch, "query");
-      }
-    }
-  };
-
-  for (const ShardedOp& op : schedule) {
-    const std::uint32_t target = op.shard % shard_count;
-    switch (op.kind) {
-      case ShardedOpKind::Submit:
-        submit_n(op.count);
-        break;
-      case ShardedOpKind::Flush: {
-        service.flush();
-        const svc::ShardedStats stats = service.stats();
-        if (stats.shards_crashed == 0 && stats.queue_depth != 0) {
-          violate("flush: returned with a non-empty queue and live writers");
-        }
-        break;
-      }
-      case ShardedOpKind::Query:
-        query_burst(op.count);
-        break;
-      case ShardedOpKind::KillShard: {
-        // Arm the kill at the victim's next publish, then push a burst: the
-        // burst is what makes the victim publish (and die) while neighbors
-        // keep draining the halo deltas its last good batches emitted.
-        const std::uint64_t next_epoch =
-            service.stats().shard_epochs[target] + 1;
-        plans[target]->arm_kill(next_epoch);
-        submit_n(op.count);
-        break;
-      }
-      case ShardedOpKind::RestartShard:
-        if (service.restart_shard(target)) ++result.restarts;
-        break;
-    }
-  }
-
-  // Quiesce: disarm every plan (un-fired armed kills become no-ops), submit
-  // leftovers, then restart + flush until the whole fleet is alive and at
-  // fixpoint. The loop bound is defensive — one pass suffices disarmed.
-  for (const auto& plan : plans) plan->disarm();
-  submit_n(stream.size() - next_event);
-  for (int i = 0; i < 8; ++i) {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      if (service.restart_shard(s)) ++result.restarts;
-    }
-    service.flush();
-    if (!service.any_shard_crashed()) break;
-  }
+std::uint64_t quiesce(svc::Service& service) {
+  service.resume();
+  const std::uint64_t restarts = restart_until_alive(service);
+  service.retry_publish();
   service.flush();
+  return restarts;
+}
 
-  result.final_digest = service.composite_digest();
-  const svc::ShardedStats stats = service.stats();
-  result.halo_deltas = stats.halo_deltas;
-  result.halo_events = stats.halo_events;
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    note_epoch(s, stats.shard_epochs[s], "final");
-    result.kills += plans[s]->stats().kills;
-  }
-  const labeling::MaintainedLabeling expected(shadow,
-                                              svc_config.ingest.definition);
-  const std::shared_ptr<const svc::Snapshot> expected_snap =
-      svc::Snapshot::build(0, expected, svc_config.ingest.hand);
-  result.expected_digest = expected_snap->label_digest();
-  result.final_faults = expected_snap->faults().size();
-  if (result.final_digest != result.expected_digest) {
-    std::ostringstream msg;
-    msg << "digest: composite labeling diverged from the net fault set ("
-        << std::hex << result.final_digest << " != " << result.expected_digest
-        << std::dec << ")";
-    violate(msg.str());
-  }
-  return result;
+std::uint64_t quiesce(svc::ShardedService& fleet) {
+  const std::uint64_t restarts = restart_until_alive(fleet);
+  fleet.flush();
+  return restarts;
 }
 
 std::vector<Op> shrink_schedule(const ScheduleConfig& config,
@@ -497,87 +362,18 @@ std::vector<Op> shrink_schedule(const ScheduleConfig& config,
     if (oracle) return oracle(config, candidate);
     return !run_schedule(config, candidate).ok();
   };
-  if (!fails(schedule)) {
-    if (runs) *runs = executed;
-    return schedule;  // not a failing schedule; nothing to shrink
-  }
-  // ddmin: drop chunks while the violation reproduces, halving chunk size
-  // when no chunk can go (same discipline as check::shrink_faults).
-  std::size_t chunk = std::max<std::size_t>(1, schedule.size() / 2);
-  while (!schedule.empty()) {
-    bool reduced = false;
-    for (std::size_t start = 0; start < schedule.size(); start += chunk) {
-      std::vector<Op> candidate;
-      candidate.reserve(schedule.size());
-      candidate.insert(candidate.end(), schedule.begin(),
-                       schedule.begin() + static_cast<std::ptrdiff_t>(start));
-      const std::size_t stop = std::min(schedule.size(), start + chunk);
-      candidate.insert(candidate.end(),
-                       schedule.begin() + static_cast<std::ptrdiff_t>(stop),
-                       schedule.end());
-      if (fails(candidate)) {
-        schedule = std::move(candidate);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (chunk == 1) break;
-      chunk = std::max<std::size_t>(1, chunk / 2);
-    } else {
-      chunk = std::min(chunk, std::max<std::size_t>(1, schedule.size() / 2));
-    }
-  }
+  // Not a failing schedule: nothing to shrink.
+  if (fails(schedule)) schedule = check::ddmin(std::move(schedule), fails);
   if (runs) *runs = executed;
   return schedule;
 }
 
 std::string to_string(const std::vector<Op>& schedule) {
-  std::ostringstream out;
-  bool first = true;
-  for (const Op& op : schedule) {
-    if (!first) out << ' ';
-    first = false;
-    out << op_letter(op.kind);
-    if (op.kind == OpKind::Submit || op.kind == OpKind::Query) {
-      out << op.count;
-    }
-  }
-  return out.str();
+  return render_ops(schedule, kOpAlphabet);
 }
 
 std::optional<std::vector<Op>> parse_schedule(std::string_view text) {
-  std::vector<Op> schedule;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    if (std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-      ++i;
-      continue;
-    }
-    Op op;
-    switch (text[i]) {
-      case 'S': op.kind = OpKind::Submit; break;
-      case 'Q': op.kind = OpKind::Query; break;
-      case 'P': op.kind = OpKind::Pause; break;
-      case 'R': op.kind = OpKind::Resume; break;
-      case 'F': op.kind = OpKind::Flush; break;
-      case 'Y': op.kind = OpKind::RetryPublish; break;
-      case 'K': op.kind = OpKind::Restart; break;
-      default: return std::nullopt;
-    }
-    ++i;
-    if (op.kind == OpKind::Submit || op.kind == OpKind::Query) {
-      const char* begin = text.data() + i;
-      const char* end = text.data() + text.size();
-      std::uint16_t count = 0;
-      const auto [ptr, ec] = std::from_chars(begin, end, count);
-      if (ec != std::errc{} || ptr == begin) return std::nullopt;
-      op.count = count;
-      i += static_cast<std::size_t>(ptr - begin);
-    }
-    schedule.push_back(op);
-  }
-  return schedule;
+  return parse_ops<Op>(text, kOpAlphabet);
 }
 
 }  // namespace ocp::chaos

@@ -1,32 +1,43 @@
-// Seeded schedule exploration for the serving runtime, with ddmin repros.
+// Seeded schedule exploration for both serving fronts, with ddmin repros.
 //
-// A schedule is a short program of driver ops — submit bursts, pause /
-// resume, flush barriers, query bursts, publish-retry nudges, ingest
-// restarts — executed against a live `svc::Service` while a chaos plan
-// injects faults underneath (denied admissions, duplicated / deferred /
-// stalled batches, poisoned oracle verdicts, mid-batch kills). The explorer
-// generates schedules from a seed, runs them, and checks the degraded-mode
-// guarantees as invariants:
+// A schedule is a short program of driver ops executed against a live
+// front while chaos plans inject faults underneath. One runner executes
+// both op vocabularies:
 //
-//   * epochs observed by queries never decrease;
-//   * queries always answer from the last good epoch (typed verdicts only,
-//     never a hang — and never a violation while publications are
-//     withheld);
-//   * a flush barrier of an un-crashed service leaves the queue empty;
-//   * after quiescing (plan disarmed, thread restarted, retries drained)
-//     the published labeling is bit-identical — same `label_digest` — to a
-//     clean labeling of the net fault set, and the staleness watermark
-//     reads zero.
+//   * `Op` drives a `svc::Service` — submit bursts, pause / resume, flush
+//     barriers, query bursts, publish-retry nudges, ingest restarts — under
+//     the config's plan (denied admissions, duplicated / deferred / stalled
+//     batches, poisoned oracle verdicts, mid-batch kills);
+//   * `ShardedOp` drives a `svc::ShardedService` and adds the failure mode
+//     only a fleet has: a shard killed at its next publish *mid-gossip*,
+//     while a neighbor still drains the halo deltas the victim just emitted.
 //
-// When a schedule fails, `shrink_schedule` reduces it with the same
-// ddmin-style discipline as check::shrink_faults (drop op chunks while the
-// violation reproduces), and `to_string`/`parse_schedule` round-trip the
-// survivor as a one-line repro (e.g. "S8 P Q16 R F K"), replayable with
-// `bench/chaos_soak --replay`.
+// The runner replays the seeded churn (`svc::seeded_churn`) through the ops
+// and checks the degraded-mode guarantees as invariants:
+//
+//   * per-shard epochs observed by queries never decrease;
+//   * point queries always answer Ok from the owner's last good epoch
+//     (typed verdicts only, never a hang — whatever chaos does to the write
+//     side or to a sibling shard);
+//   * a flush barrier with no writer down leaves every queue empty;
+//   * after quiescing (plans disarmed, leftover events submitted, writers
+//     restarted, backlogs drained, withheld publications retried) the
+//     published labeling is bit-identical — same label digest, composite on
+//     a fleet — to a clean labeling of the net fault set, and the staleness
+//     watermark reads zero.
+//
+// When a single-writer schedule fails, `shrink_schedule` reduces it with
+// `check::ddmin` (drop op chunks while the violation reproduces), and
+// `to_string`/`parse_schedule` round-trip the survivor as a one-line repro
+// (e.g. "S8 P Q16 R F K"), replayable with `bench/chaos_soak --replay`.
 #pragma once
 
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,7 +48,7 @@
 
 namespace ocp::chaos {
 
-/// One driver op of a schedule.
+/// One driver op of a single-writer schedule.
 enum class OpKind : std::uint8_t {
   /// Submit the next `count` events of the seeded stream (retrying typed
   /// rejections with backoff, so no event is ever lost to the schedule).
@@ -62,95 +73,9 @@ struct Op {
   friend bool operator==(const Op&, const Op&) = default;
 };
 
-/// Workload + chaos parameters for one schedule run. The schedule itself
-/// (the op list) is passed separately so ddmin can vary it while the
-/// config stays fixed.
-struct ScheduleConfig {
-  std::int32_t mesh_side = 16;
-  std::size_t initial_faults = 6;
-  /// Length of the seeded event stream the Submit ops consume. Ops past
-  /// the end submit nothing; leftover events are submitted at quiesce so
-  /// the expected final fault set never depends on the schedule shape.
-  std::size_t events = 96;
-  double repair_fraction = 0.45;
-  std::uint64_t seed = 1;
-  /// Chaos injected while the schedule runs (armed only during the ops;
-  /// the quiesce phase disarms it).
-  PlanSpec plan;
-  /// Service shape; queue_capacity is clamped up to hold the whole stream
-  /// so only chaos denials — never genuine overload — reject a Submit op.
-  svc::ServiceConfig service;
-};
-
-struct ScheduleResult {
-  /// Human-readable invariant violations; empty means the run passed.
-  std::vector<std::string> violations;
-  std::uint64_t final_digest = 0;
-  std::uint64_t expected_digest = 0;
-  std::size_t final_faults = 0;
-  std::uint64_t final_epoch = 0;
-  std::uint64_t stale_epochs_pending = 0;
-  std::uint64_t queries_ok = 0;
-  std::uint64_t queries_rejected = 0;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t restarts = 0;
-  PlanStats injected;
-
-  [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
-};
-
-/// Seeded schedule generation: `ops` driver ops with a weighted kind mix
-/// (submit/query heavy, occasional pause/resume/flush/nudge/restart).
-[[nodiscard]] std::vector<Op> generate_schedule(std::uint64_t seed,
-                                                std::size_t ops,
-                                                std::size_t max_burst = 16);
-
-/// Executes one schedule against a fresh Service and checks every
-/// invariant, quiescing (disarm, restart, drain, retry) before the final
-/// digest comparison.
-[[nodiscard]] ScheduleResult run_schedule(const ScheduleConfig& config,
-                                          const std::vector<Op>& schedule);
-
-/// Failure predicate ddmin minimizes against: true = still failing. The
-/// default (empty) oracle is `!run_schedule(config, ops).ok()`; tests
-/// inject synthetic oracles to pin the minimization itself.
-using ScheduleOracle =
-    std::function<bool(const ScheduleConfig&, const std::vector<Op>&)>;
-
-/// ddmin over the op list: returns the smallest subsequence of `schedule`
-/// whose run still violates an invariant (or `schedule` itself if the
-/// failure vanished). `runs` counts the executions spent shrinking.
-[[nodiscard]] std::vector<Op> shrink_schedule(const ScheduleConfig& config,
-                                              std::vector<Op> schedule,
-                                              std::size_t* runs = nullptr,
-                                              ScheduleOracle oracle = {});
-
-/// One-line schedule rendering: "S8 P R F Q16 Y K" (S=submit, Q=query with
-/// counts; P/R/F/Y/K = pause/resume/flush/retry-publish/restart).
-[[nodiscard]] std::string to_string(const std::vector<Op>& schedule);
-
-/// Inverse of `to_string`; nullopt on malformed input.
-[[nodiscard]] std::optional<std::vector<Op>> parse_schedule(
-    std::string_view text);
-
-// ---------------------------------------------------------------------------
-// Sharded schedule exploration (svc::ShardedService).
-//
-// The sharded explorer adds the one failure mode the single-writer explorer
-// cannot exercise: a shard dying *mid-gossip* — its worker killed at its next
-// publish while a neighbor is still draining the halo deltas the victim just
-// emitted. The invariants are the sharded runtime's degraded-mode
-// guarantees: per-shard query epochs never decrease, point queries keep
-// answering from the owner's last good epoch while a sibling is down, a
-// flush of an un-crashed fleet leaves every queue and inbox empty, and after
-// quiescing (kills disarmed, shards restarted, backlogs replayed to
-// fixpoint) the composite digest is bit-identical to a clean single-writer
-// labeling of the net fault set.
-
 /// One driver op of a sharded schedule.
 enum class ShardedOpKind : std::uint8_t {
-  /// Submit the next `count` stream events (coordinate-routed; retries
-  /// typed rejections with backoff, so no event is lost to the schedule).
+  /// Submit the next `count` stream events (coordinate-routed).
   Submit = 0,
   /// Barrier: fleet quiescent or some shard crashed.
   Flush = 1,
@@ -174,34 +99,64 @@ struct ShardedOp {
   friend bool operator==(const ShardedOp&, const ShardedOp&) = default;
 };
 
-/// Workload shape for one sharded schedule run. Chaos plans are created
-/// internally (one per shard, kills armed dynamically against live epochs);
-/// `service.shard_chaos` in the embedded config is overwritten.
-struct ShardedScheduleConfig {
+/// Workload + chaos parameters for one schedule run, for either front's
+/// config type. The schedule itself (the op list) is passed separately so
+/// ddmin can vary it while the config stays fixed.
+template <class FrontConfig>
+struct BasicScheduleConfig {
   std::int32_t mesh_side = 16;
-  mesh::Topology topology = mesh::Topology::Mesh;
   std::size_t initial_faults = 6;
+  /// Length of the seeded event stream the Submit ops consume. Ops past
+  /// the end submit nothing; leftover events are submitted at quiesce so
+  /// the expected final fault set never depends on the schedule shape.
   std::size_t events = 96;
   double repair_fraction = 0.45;
   std::uint64_t seed = 1;
-  svc::ShardedServiceConfig service;
+  /// Chaos injected while the schedule runs (armed only during the ops;
+  /// the quiesce phase disarms it). A fleet gives every shard its own plan
+  /// of this spec, seeded `plan.seed + shard`; KillShard ops arm kills on
+  /// those plans against the victim's live epoch.
+  PlanSpec plan;
+  /// Front shape; queue_capacity is clamped up to hold the whole stream
+  /// so only chaos denials — never genuine overload — reject a submit, and
+  /// a fleet's `shard_chaos` is overwritten with the per-shard plans.
+  FrontConfig service;
 };
 
-struct ShardedScheduleResult {
+using ScheduleConfig = BasicScheduleConfig<svc::ServiceConfig>;
+using ShardedScheduleConfig = BasicScheduleConfig<svc::ShardedServiceConfig>;
+
+struct ScheduleResult {
   /// Human-readable invariant violations; empty means the run passed.
   std::vector<std::string> violations;
   std::uint64_t final_digest = 0;
   std::uint64_t expected_digest = 0;
   std::size_t final_faults = 0;
-  std::uint64_t kills = 0;
+  /// Highest epoch any shard ended at.
+  std::uint64_t final_epoch = 0;
+  std::uint64_t stale_epochs_pending = 0;
+  std::uint64_t queries_ok = 0;
+  std::uint64_t queries_rejected = 0;
+  std::uint64_t submit_retries = 0;
   std::uint64_t restarts = 0;
+  /// Halo exchange volume at quiesce (0 on the single-writer service).
   std::uint64_t halo_deltas = 0;
   std::uint64_t halo_events = 0;
-  std::uint64_t queries_ok = 0;
-  std::uint64_t submit_retries = 0;
+  /// Injections performed, summed over every shard's plan.
+  PlanStats injected;
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
+
+/// A generator's burst size: seeded, uniform in [1, max(1, max_burst)].
+[[nodiscard]] std::uint16_t random_burst(stats::Rng& rng,
+                                         std::size_t max_burst);
+
+/// Seeded schedule generation: `ops` driver ops with a weighted kind mix
+/// (submit/query heavy, occasional pause/resume/flush/nudge/restart).
+[[nodiscard]] std::vector<Op> generate_schedule(std::uint64_t seed,
+                                                std::size_t ops,
+                                                std::size_t max_burst = 16);
 
 /// Seeded sharded schedule generation: submit/query heavy with kill and
 /// restart ops sprinkled across a `shards`-sized fleet.
@@ -209,11 +164,90 @@ struct ShardedScheduleResult {
     std::uint64_t seed, std::size_t ops, std::uint32_t shards,
     std::size_t max_burst = 16);
 
-/// Executes one sharded schedule against a fresh ShardedService and checks
-/// every invariant, quiescing (disarm, restart, drain to fixpoint) before
-/// the composite-digest comparison.
-[[nodiscard]] ShardedScheduleResult run_sharded_schedule(
+/// Executes one schedule against a fresh front and checks every invariant,
+/// quiescing before the final digest comparison.
+[[nodiscard]] ScheduleResult run_schedule(const ScheduleConfig& config,
+                                          const std::vector<Op>& schedule);
+[[nodiscard]] ScheduleResult run_schedule(
     const ShardedScheduleConfig& config,
     const std::vector<ShardedOp>& schedule);
+
+/// Brings a front whose plans are disarmed back to a quiescent, fully
+/// published state: resumes it, restarts every crashed writer and flushes
+/// until none is down (bounded; one pass suffices once disarmed) and
+/// retries withheld publications. Returns the restarts it performed.
+std::uint64_t quiesce(svc::Service& service);
+std::uint64_t quiesce(svc::ShardedService& fleet);
+
+/// Failure predicate ddmin minimizes against: true = still failing. The
+/// default (empty) oracle is `!run_schedule(config, ops).ok()`; tests
+/// inject synthetic oracles to pin the minimization itself.
+using ScheduleOracle =
+    std::function<bool(const ScheduleConfig&, const std::vector<Op>&)>;
+
+/// ddmin over the op list: returns the smallest subsequence of `schedule`
+/// whose run still violates an invariant (or `schedule` itself if the
+/// failure vanished). `runs` counts the executions spent shrinking.
+[[nodiscard]] std::vector<Op> shrink_schedule(const ScheduleConfig& config,
+                                              std::vector<Op> schedule,
+                                              std::size_t* runs = nullptr,
+                                              ScheduleOracle oracle = {});
+
+/// One row of an op vocabulary's repro alphabet, indexed by the kind's
+/// value: the letter the kind renders as and whether a count follows it.
+struct OpLetter {
+  char letter;
+  bool counted;
+};
+
+/// Renders ops as a one-line repro ("S8 P Q16"), one token per op.
+template <class OpT, std::size_t N>
+std::string render_ops(const std::vector<OpT>& ops,
+                       const std::array<OpLetter, N>& alphabet) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const OpLetter& row = alphabet[static_cast<std::size_t>(ops[i].kind)];
+    out << (i == 0 ? "" : " ") << row.letter;
+    if (row.counted) out << ops[i].count;
+  }
+  return out.str();
+}
+
+/// Inverse of `render_ops`; nullopt on an unknown letter or a missing or
+/// overflowing count.
+template <class OpT, std::size_t N>
+std::optional<std::vector<OpT>> parse_ops(
+    std::string_view text, const std::array<OpLetter, N>& alphabet) {
+  std::vector<OpT> ops;
+  const char* at = text.data();
+  const char* const end = text.data() + text.size();
+  while (at != end) {
+    if (std::isspace(static_cast<unsigned char>(*at)) != 0) {
+      ++at;
+      continue;
+    }
+    std::size_t kind = 0;
+    while (kind < N && alphabet[kind].letter != *at) ++kind;
+    if (kind == N) return std::nullopt;
+    ++at;
+    OpT op{};
+    op.kind = static_cast<decltype(op.kind)>(kind);
+    if (alphabet[kind].counted) {
+      const auto [ptr, ec] = std::from_chars(at, end, op.count);
+      if (ec != std::errc{} || ptr == at) return std::nullopt;
+      at = ptr;
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+/// One-line schedule rendering: "S8 P R F Q16 Y K" (S=submit, Q=query with
+/// counts; P/R/F/Y/K = pause/resume/flush/retry-publish/restart).
+[[nodiscard]] std::string to_string(const std::vector<Op>& schedule);
+
+/// Inverse of `to_string`; nullopt on malformed input.
+[[nodiscard]] std::optional<std::vector<Op>> parse_schedule(
+    std::string_view text);
 
 }  // namespace ocp::chaos

@@ -7,73 +7,24 @@
 
 namespace ocp::check {
 
-namespace {
-
-grid::CellSet without(const grid::CellSet& base,
-                      const std::vector<mesh::Coord>& cells, std::size_t lo,
-                      std::size_t hi) {
-  grid::CellSet out(base.topology());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i < lo || i >= hi) out.insert(cells[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
 ShrinkResult shrink_faults(const grid::CellSet& failing,
                            const FailurePredicate& fails) {
-  ShrinkResult result(failing);
-  const auto check = [&](const grid::CellSet& candidate) {
-    ++result.evaluations;
-    return fails(candidate);
+  const auto as_set = [&failing](const std::vector<mesh::Coord>& cells) {
+    grid::CellSet set(failing.topology());
+    for (const mesh::Coord c : cells) set.insert(c);
+    return set;
   };
-  if (!check(failing)) {
+  ShrinkResult result(failing);
+  const auto evaluate = [&](const std::vector<mesh::Coord>& cells) {
+    ++result.evaluations;
+    return fails(as_set(cells));
+  };
+  if (!evaluate(failing.to_vector())) {
     throw std::invalid_argument(
         "shrink_faults: the input fault set does not fail the predicate");
   }
-
-  // ddmin phase: drop progressively smaller chunks while any removal keeps
-  // the failure alive. Chunks are contiguous row-major slices.
-  std::vector<mesh::Coord> cells = result.faults.to_vector();
-  for (std::size_t chunk = cells.size() / 2; chunk >= 1; chunk /= 2) {
-    bool removed_any = true;
-    while (removed_any && cells.size() > 1) {
-      removed_any = false;
-      for (std::size_t lo = 0; lo < cells.size();) {
-        const std::size_t hi = std::min(lo + chunk, cells.size());
-        const grid::CellSet candidate =
-            without(result.faults, cells, lo, hi);
-        if (candidate.size() < cells.size() && check(candidate)) {
-          result.faults = candidate;
-          cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(lo),
-                      cells.begin() + static_cast<std::ptrdiff_t>(hi));
-          removed_any = true;
-          // Do not advance lo: the next chunk slid into this position.
-        } else {
-          lo = hi;
-        }
-      }
-      if (chunk == 1) break;  // the single-fault fixpoint loop runs below
-    }
-  }
-
-  // Local-minimality: iterate single-fault removal to a fixpoint. On exit,
-  // removing any one fault makes the predicate pass.
-  bool removed_any = true;
-  while (removed_any) {
-    removed_any = false;
-    cells = result.faults.to_vector();
-    for (const mesh::Coord c : cells) {
-      grid::CellSet candidate = result.faults;
-      candidate.erase(c);
-      if (check(candidate)) {
-        result.faults = std::move(candidate);
-        removed_any = true;
-      }
-    }
-  }
-
+  // Chunks are contiguous row-major slices of the fault list.
+  result.faults = as_set(ddmin(failing.to_vector(), evaluate));
   result.trace = fault::to_trace_string(result.faults);
   return result;
 }

@@ -1,20 +1,55 @@
-// Delta-debugging shrinker for failing fault sets.
+// Delta-debugging shrinkers.
 //
-// When the fuzzer finds an instance that violates the oracle (or any other
-// predicate), the raw counterexample typically carries dozens of irrelevant
-// faults. `shrink_faults` reduces it with a ddmin-style pass (drop whole
-// chunks first, then single faults) to a *local-minimal* failing set:
-// removing any one remaining fault makes the failure disappear. The result
-// ships as a replayable `fault::trace` plus a one-line repro command.
+// `ddmin` reduces any failing sequence — a fault set's cells, a chaos
+// schedule's ops — to a *local-minimal* failing subsequence: removing any
+// one remaining element makes the failure disappear. When the fuzzer finds
+// an instance that violates the oracle (or any other predicate), the raw
+// counterexample typically carries dozens of irrelevant faults;
+// `shrink_faults` runs ddmin over them and ships the survivor as a
+// replayable `fault::trace` plus a one-line repro command.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "grid/cell_set.hpp"
 
 namespace ocp::check {
+
+/// ddmin over `items`, for which `fails` must hold: drops contiguous chunks
+/// while the failure persists, halving the chunk size from n/2 down to 1 and
+/// sweeping each size to a fixpoint. The chunk-1 fixpoint is the
+/// local-minimality pass: on return, `fails` holds and removing any single
+/// remaining item makes it pass. Deterministic: chunks are tried in order.
+template <class T, class Fails>
+std::vector<T> ddmin(std::vector<T> items, Fails&& fails) {
+  for (std::size_t chunk = std::max<std::size_t>(items.size() / 2, 1);;
+       chunk /= 2) {
+    bool removed_any = true;
+    while (removed_any) {
+      removed_any = false;
+      for (std::size_t lo = 0; lo < items.size();) {
+        const std::size_t hi = std::min(lo + chunk, items.size());
+        std::vector<T> candidate(items.begin(),
+                                 items.begin() + static_cast<std::ptrdiff_t>(lo));
+        candidate.insert(candidate.end(),
+                         items.begin() + static_cast<std::ptrdiff_t>(hi),
+                         items.end());
+        if (fails(candidate)) {
+          items = std::move(candidate);
+          removed_any = true;
+          // Do not advance lo: the next chunk slid into this position.
+        } else {
+          lo = hi;
+        }
+      }
+    }
+    if (chunk == 1) return items;
+  }
+}
 
 /// Predicate driven by the shrinker: true when the fault set still fails.
 using FailurePredicate = std::function<bool(const grid::CellSet&)>;

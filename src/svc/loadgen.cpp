@@ -1,5 +1,6 @@
 #include "svc/loadgen.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -31,6 +32,37 @@ struct WorkerRecord {
 mesh::Coord random_node(const mesh::Mesh2D& m, stats::Rng& rng) {
   return m.coord(static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(m.node_count()) - 1)));
+}
+
+/// The seeded stream, advancing `shadow` — the fault set the service will
+/// hold after each event — so repairs target genuinely faulty nodes (most
+/// of the time — duplicate faults still occur and exercise coalescing).
+std::vector<FaultEvent> churn_stream(const mesh::Mesh2D& machine,
+                                     grid::CellSet& shadow, std::size_t events,
+                                     double repair_fraction,
+                                     std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<FaultEvent> stream;
+  stream.reserve(events);
+  for (std::size_t i = 0; i < events; ++i) {
+    if (!shadow.empty() && rng.uniform() < repair_fraction) {
+      const auto members = shadow.to_vector();
+      const mesh::Coord node = members[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(members.size()) - 1))];
+      shadow.erase(node);
+      stream.push_back({EventKind::Repair, node});
+    } else {
+      const mesh::Coord node = random_node(machine, rng);
+      shadow.insert(node);  // no-op when already faulty: a duplicate fault
+      stream.push_back({EventKind::Fault, node});
+    }
+  }
+  return stream;
+}
+
+std::uint32_t owner_shard(const Service&, mesh::Coord) { return 0; }
+std::uint32_t owner_shard(const ShardedService& fleet, mesh::Coord node) {
+  return fleet.shard_of(node);
 }
 
 }  // namespace
@@ -65,27 +97,8 @@ std::vector<FaultEvent> generate_event_stream(const mesh::Mesh2D& machine,
                                               std::size_t events,
                                               double repair_fraction,
                                               std::uint64_t seed) {
-  stats::Rng rng(seed);
-  // Shadow fault model: tracks what the service's fault set will be after
-  // each event, so repairs target genuinely faulty nodes (most of the
-  // time — duplicate faults still occur and exercise coalescing).
   grid::CellSet shadow = initial;
-  std::vector<FaultEvent> stream;
-  stream.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    if (!shadow.empty() && rng.uniform() < repair_fraction) {
-      const auto members = shadow.to_vector();
-      const mesh::Coord node = members[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(members.size()) - 1))];
-      shadow.erase(node);
-      stream.push_back({EventKind::Repair, node});
-    } else {
-      const mesh::Coord node = random_node(machine, rng);
-      shadow.insert(node);  // no-op when already faulty: a duplicate fault
-      stream.push_back({EventKind::Fault, node});
-    }
-  }
-  return stream;
+  return churn_stream(machine, shadow, events, repair_fraction, seed);
 }
 
 std::uint64_t event_stream_digest(const std::vector<FaultEvent>& events) {
@@ -102,24 +115,146 @@ std::uint64_t event_stream_digest(const std::vector<FaultEvent>& events) {
   return h;
 }
 
-SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
-  stats::Rng master(config.seed);
+SeededChurn seeded_churn(std::int32_t mesh_side, mesh::Topology topology,
+                         std::size_t initial_faults, std::size_t events,
+                         double repair_fraction, std::uint64_t seed) {
+  const mesh::Mesh2D machine(mesh_side, mesh_side, topology);
+  stats::Rng master(seed);
   stats::Rng fault_rng(master.fork_seed());
   const std::uint64_t stream_seed = master.fork_seed();
-  const auto worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
+  grid::CellSet initial =
+      fault::uniform_random(machine, initial_faults, fault_rng);
+  grid::CellSet net = initial;
+  std::vector<FaultEvent> stream =
+      churn_stream(machine, net, events, repair_fraction, stream_seed);
+  const std::uint64_t digest = event_stream_digest(stream);
+  return {machine,        std::move(initial), std::move(stream),
+          digest,         std::move(net),     std::move(master)};
+}
 
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<FaultEvent> stream = generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
+template <class Front>
+SubmitVerdict submit_with_backoff(Front& front, const FaultEvent& event,
+                                  const BackoffPolicy& backoff,
+                                  std::uint64_t& retries,
+                                  std::uint64_t& slept_us) {
+  for (std::uint64_t attempt = 0;; ++attempt) {
+    const SubmitStatus status = front.submit(event);
+    if (status == SubmitStatus::Accepted) return SubmitVerdict::Accepted;
+    // Shutdown raced the submitter; nothing further can be delivered.
+    if (status == SubmitStatus::Closed) return SubmitVerdict::Closed;
+    if (backoff.retry_budget != 0 && attempt >= backoff.retry_budget) {
+      return SubmitVerdict::Exhausted;
+    }
+    ++retries;
+    const std::uint32_t delay_us = backoff_delay_us(backoff, attempt);
+    slept_us += delay_us;
+    if (delay_us == 0) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    }
+  }
+}
+
+QueryItem random_query_item(const mesh::Mesh2D& machine, stats::Rng& rng) {
+  const double pick = rng.uniform();
+  const QueryKind kind = pick < 0.5   ? QueryKind::Status
+                         : pick < 0.8 ? QueryKind::Region
+                                      : QueryKind::Route;
+  const mesh::Coord src = random_node(machine, rng);
+  const mesh::Coord dst =
+      kind == QueryKind::Route ? random_node(machine, rng) : mesh::Coord{};
+  return {kind, src, dst};
+}
+
+template <class Front>
+QueryStep random_query(const Front& front, const mesh::Mesh2D& machine,
+                       stats::Rng& rng) {
+  const QueryItem item = random_query_item(machine, rng);
+  QueryStep step{.shard = owner_shard(front, item.a)};
+  const auto take = [&step](const auto& answer) {
+    step.status = answer.status;
+    step.epoch = answer.epoch;
+  };
+  switch (item.kind) {
+    case QueryKind::Status: take(front.query_status(item.a)); break;
+    case QueryKind::Region: take(front.query_region(item.a)); break;
+    case QueryKind::Route: take(front.query_route(item.a, item.b)); break;
+  }
+  return step;
+}
+
+std::uint64_t clean_label_digest(const grid::CellSet& faults,
+                                 const IngestConfig& ingest) {
+  const labeling::MaintainedLabeling clean(faults, ingest.definition);
+  return Snapshot::build(0, clean, ingest.hand)->label_digest();
+}
+
+FrontState front_state(const Service& service) {
+  const auto snapshot = service.snapshot();
+  return {.digest = snapshot->label_digest(),
+          .faults = snapshot->faults().size(),
+          .shard_epochs = {snapshot->epoch()},
+          .epochs_published = service.stats().ingest.epochs_published,
+          .stale_epochs_pending = service.stale_epochs_pending()};
+}
+
+FrontState front_state(const ShardedService& fleet) {
+  const ShardedStats stats = fleet.stats();
+  FrontState state{.digest = fleet.composite_digest(),
+                   .shard_epochs = stats.shard_epochs,
+                   .epochs_published = stats.ingest.epochs_published,
+                   .halo_deltas = stats.halo_deltas,
+                   .halo_events = stats.halo_events};
+  const auto snapshots = fleet.snapshots();
+  const mesh::Mesh2D& machine = fleet.shard_grid().machine();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(machine.node_count());
+       ++i) {
+    const mesh::Coord c = machine.coord(i);
+    if (snapshots[fleet.shard_of(c)]->faults().contains(c)) ++state.faults;
+  }
+  return state;
+}
+
+template SubmitVerdict submit_with_backoff(Service&, const FaultEvent&,
+                                           const BackoffPolicy&,
+                                           std::uint64_t&, std::uint64_t&);
+template SubmitVerdict submit_with_backoff(ShardedService&, const FaultEvent&,
+                                           const BackoffPolicy&,
+                                           std::uint64_t&, std::uint64_t&);
+template QueryStep random_query(const Service&, const mesh::Mesh2D&,
+                                stats::Rng&);
+template QueryStep random_query(const ShardedService&, const mesh::Mesh2D&,
+                                stats::Rng&);
+
+namespace {
+
+// How each front's batch answer reports the epochs it read.
+bool note_epochs(EpochTracker& epochs, const BatchAnswer& answer) {
+  return epochs.note(0, answer.epoch);
+}
+
+bool note_epochs(EpochTracker& epochs, const ShardedBatchAnswer& answer) {
+  bool monotone = true;
+  for (const CompositeEpoch& e : answer.epochs) {
+    monotone = epochs.note(e.shard, e.epoch) && monotone;
+  }
+  return monotone;
+}
+
+template <class Front, class FrontConfig>
+SvcLoadResult run_closed_loop(const SvcLoadConfig& config,
+                              const FrontConfig& front_config) {
+  SeededChurn churn =
+      seeded_churn(config.mesh_side, config.topology, config.initial_faults,
+                   config.events, config.repair_fraction, config.seed);
+  const mesh::Mesh2D& machine = churn.machine;
+  const auto worker_seeds =
+      analysis::fork_trial_seeds(churn.master, config.query_threads);
 
   SvcLoadResult result;
-  result.stream_digest = event_stream_digest(stream);
-
-  Service service(initial, config.service);
+  result.stream_digest = churn.stream_digest;
+  Front front(churn.initial, front_config);
 
   // Writer: replays the stream in order with closed-loop backpressure.
   // An `Overloaded` verdict retries under the seeded backoff policy instead
@@ -127,33 +262,13 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
   // so (queue FIFO + retry-until-accepted) keeps the final fault set a pure
   // function of the stream. A finite budget sheds instead — accounted, and
   // forfeiting that purity by design.
-  const BackoffPolicy& backoff = config.submit_backoff;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
   std::thread writer([&] {
-    for (const FaultEvent& event : stream) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const SubmitStatus status = service.submit(event);
-        if (status == SubmitStatus::Accepted) break;
-        if (status == SubmitStatus::Closed) {
-          // Shutdown raced the writer; nothing further can be delivered.
-          ++submits_shed;
-          break;
-        }
-        if (backoff.retry_budget != 0 && attempt >= backoff.retry_budget) {
-          ++submits_shed;
-          break;
-        }
-        ++submit_retries;
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        submit_backoff_us += delay_us;
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
+    for (const FaultEvent& event : churn.stream) {
+      if (submit_with_backoff(front, event, config.submit_backoff,
+                              result.submit_retries,
+                              result.submit_backoff_us) !=
+          SubmitVerdict::Accepted) {
+        ++result.submits_shed;
       }
     }
   });
@@ -166,64 +281,30 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
     workers.emplace_back([&, t] {
       stats::Rng rng(worker_seeds[t]);
       WorkerRecord& rec = records[t];
-      std::uint64_t last_epoch = 0;
-      const auto note_epoch = [&rec, &last_epoch](std::uint64_t epoch) {
-        if (epoch < last_epoch) rec.epochs_monotone = false;
-        last_epoch = epoch;
-      };
+      EpochTracker epochs(shard_count(front));
       for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
         const auto begin = Clock::now();
         if (config.batch_every != 0 && q % config.batch_every == 0) {
           std::vector<QueryItem> items(config.batch_size);
-          for (auto& item : items) {
-            const double pick = rng.uniform();
-            if (pick < 0.5) {
-              item = {QueryKind::Status, random_node(machine, rng), {}};
-            } else if (pick < 0.8) {
-              item = {QueryKind::Region, random_node(machine, rng), {}};
-            } else {
-              item = {QueryKind::Route, random_node(machine, rng),
-                      random_node(machine, rng)};
-            }
-          }
-          const BatchAnswer answer = service.query_batch(items);
+          for (QueryItem& item : items) item = random_query_item(machine, rng);
+          const auto answer = front.query_batch(items);
           if (answer.status == QueryStatus::Ok) {
             ++rec.ok;
             ++rec.batches_ok;
             rec.batch_items += answer.items.size();
-            note_epoch(answer.epoch);
+            if (!note_epochs(epochs, answer)) rec.epochs_monotone = false;
           } else {
             ++rec.rejected;
           }
         } else {
-          const double pick = rng.uniform();
-          if (pick < 0.5) {
-            const StatusAnswer answer =
-                service.query_status(random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          } else if (pick < 0.8) {
-            const RegionAnswer answer =
-                service.query_region(random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
+          const QueryStep step = random_query(front, machine, rng);
+          if (step.status == QueryStatus::Ok) {
+            ++rec.ok;
+            if (!epochs.note(step.shard, step.epoch)) {
+              rec.epochs_monotone = false;
             }
           } else {
-            const RouteAnswer answer = service.query_route(
-                random_node(machine, rng), random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
+            ++rec.rejected;
           }
         }
         rec.latency_us.add(us_between(begin, Clock::now()));
@@ -233,8 +314,9 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
 
   for (auto& worker : workers) worker.join();
   writer.join();
-  // Quiesce: every accepted event applied and its epoch published.
-  service.flush();
+  // Quiesce: every accepted event applied (and, on a fleet, every halo
+  // delta drained) and its epoch published.
+  front.flush();
   const auto end = Clock::now();
 
   // 0.5us buckets: single queries answer in well under a microsecond, and
@@ -249,202 +331,36 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
     result.epochs_monotone = result.epochs_monotone && rec.epochs_monotone;
     latency.merge(rec.latency_us);
   }
-  result.submit_retries = submit_retries;
-  result.submit_backoff_us = submit_backoff_us;
-  result.submits_shed = submits_shed;
   result.wall_seconds = us_between(start, end) / 1e6;
   // Each batch counts once in queries_ok but delivers batch_size answers;
   // throughput counts delivered answers.
-  const double answers = static_cast<double>(result.queries_ok - batches_ok +
-                                             result.batch_items);
-  result.qps =
-      result.wall_seconds > 0 ? answers / result.wall_seconds : 0.0;
-  result.p50_us = latency.median();
-  result.p99_us = latency.p99();
-  result.latency_overflow = latency.overflow();
-
-  const auto final_snapshot = service.snapshot();
-  result.final_digest = final_snapshot->label_digest();
-  result.final_faults = final_snapshot->faults().size();
-  result.final_epoch = final_snapshot->epoch();
-  result.epochs_published = service.stats().ingest.epochs_published;
-  return result;
-}
-
-ShardedLoadResult run_sharded_load(const SvcLoadConfig& config,
-                                   const ShardedServiceConfig& service_config) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
-  // Fork order matches run_svc_load exactly: identical (config, seed) means
-  // identical initial faults, stream and query mixes, so the two runners'
-  // replay digests are directly comparable.
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const auto worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<FaultEvent> stream = generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-
-  ShardedLoadResult result;
-  result.stream_digest = event_stream_digest(stream);
-
-  ShardedService service(initial, service_config);
-  const std::uint32_t shard_count = service.shard_grid().count();
-
-  const BackoffPolicy& backoff = config.submit_backoff;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
-  std::thread writer([&] {
-    for (const FaultEvent& event : stream) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const SubmitStatus status = service.submit(event);
-        if (status == SubmitStatus::Accepted) break;
-        if (status == SubmitStatus::Closed) {
-          ++submits_shed;
-          break;
-        }
-        if (backoff.retry_budget != 0 && attempt >= backoff.retry_budget) {
-          ++submits_shed;
-          break;
-        }
-        ++submit_retries;
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        submit_backoff_us += delay_us;
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-      }
-    }
-  });
-
-  std::vector<WorkerRecord> records(config.query_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(config.query_threads);
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < config.query_threads; ++t) {
-    workers.emplace_back([&, t] {
-      stats::Rng rng(worker_seeds[t]);
-      WorkerRecord& rec = records[t];
-      // Epoch monotonicity is per shard: a point answer carries its owning
-      // shard's epoch, and different shards' counters are incomparable.
-      std::vector<std::uint64_t> last_epochs(shard_count, 0);
-      const auto note_epoch = [&rec, &last_epochs](std::uint32_t shard,
-                                                   std::uint64_t epoch) {
-        if (epoch < last_epochs[shard]) rec.epochs_monotone = false;
-        last_epochs[shard] = std::max(last_epochs[shard], epoch);
-      };
-      for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
-        const auto begin = Clock::now();
-        if (config.batch_every != 0 && q % config.batch_every == 0) {
-          std::vector<QueryItem> items(config.batch_size);
-          for (auto& item : items) {
-            const double pick = rng.uniform();
-            if (pick < 0.5) {
-              item = {QueryKind::Status, random_node(machine, rng), {}};
-            } else if (pick < 0.8) {
-              item = {QueryKind::Region, random_node(machine, rng), {}};
-            } else {
-              item = {QueryKind::Route, random_node(machine, rng),
-                      random_node(machine, rng)};
-            }
-          }
-          const ShardedBatchAnswer answer = service.query_batch(items);
-          if (answer.status == QueryStatus::Ok) {
-            ++rec.ok;
-            ++rec.batches_ok;
-            rec.batch_items += answer.items.size();
-            for (const CompositeEpoch& e : answer.epochs) {
-              note_epoch(e.shard, e.epoch);
-            }
-          } else {
-            ++rec.rejected;
-          }
-        } else {
-          const double pick = rng.uniform();
-          if (pick < 0.5) {
-            const mesh::Coord node = random_node(machine, rng);
-            const StatusAnswer answer = service.query_status(node);
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(node), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          } else if (pick < 0.8) {
-            const mesh::Coord node = random_node(machine, rng);
-            const RegionAnswer answer = service.query_region(node);
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(node), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          } else {
-            const mesh::Coord src = random_node(machine, rng);
-            const RouteAnswer answer =
-                service.query_route(src, random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(src), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          }
-        }
-        rec.latency_us.add(us_between(begin, Clock::now()));
-      }
-    });
-  }
-
-  for (auto& worker : workers) worker.join();
-  writer.join();
-  // Quiesce: every accepted event applied, every halo delta drained.
-  service.flush();
-  const auto end = Clock::now();
-
-  stats::Histogram latency{0.0, 1000.0, 2000};
-  std::size_t batches_ok = 0;
-  for (const WorkerRecord& rec : records) {
-    result.queries_ok += rec.ok;
-    result.queries_rejected += rec.rejected;
-    result.batch_items += rec.batch_items;
-    batches_ok += rec.batches_ok;
-    result.epochs_monotone = result.epochs_monotone && rec.epochs_monotone;
-    latency.merge(rec.latency_us);
-  }
-  result.submit_retries = submit_retries;
-  result.submit_backoff_us = submit_backoff_us;
-  result.submits_shed = submits_shed;
-  result.wall_seconds = us_between(start, end) / 1e6;
   const double answers = static_cast<double>(result.queries_ok - batches_ok +
                                              result.batch_items);
   result.qps = result.wall_seconds > 0 ? answers / result.wall_seconds : 0.0;
   result.p50_us = latency.median();
   result.p99_us = latency.p99();
   result.latency_overflow = latency.overflow();
-
-  result.final_digest = service.composite_digest();
-  const auto snapshots = service.snapshots();
-  const auto node_count = static_cast<std::size_t>(machine.node_count());
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const mesh::Coord c = machine.coord(i);
-    if (snapshots[service.shard_of(c)]->faults().contains(c)) {
-      ++result.final_faults;
-    }
-  }
-  const ShardedStats stats = service.stats();
-  result.halo_deltas = stats.halo_deltas;
-  result.halo_events = stats.halo_events;
-  result.shard_epochs = stats.shard_epochs;
+  const FrontState state = front_state(front);
+  result.final_digest = state.digest;
+  result.final_faults = state.faults;
+  result.final_epoch =
+      *std::max_element(state.shard_epochs.begin(), state.shard_epochs.end());
+  result.shard_epochs = state.shard_epochs;
+  result.epochs_published = state.epochs_published;
+  result.halo_deltas = state.halo_deltas;
+  result.halo_events = state.halo_events;
   return result;
+}
+
+}  // namespace
+
+SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
+  return run_closed_loop<Service>(config, config.service);
+}
+
+SvcLoadResult run_sharded_load(const SvcLoadConfig& config,
+                               const ShardedServiceConfig& service_config) {
+  return run_closed_loop<ShardedService>(config, service_config);
 }
 
 }  // namespace ocp::svc

@@ -18,8 +18,11 @@
 // property the stress suite and the acceptance criteria pin down.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "stats/rng.hpp"
 #include "svc/backoff.hpp"
 #include "svc/service.hpp"
 #include "svc/sharded_service.hpp"
@@ -51,14 +54,22 @@ struct SvcLoadConfig {
   ServiceConfig service;
 };
 
+/// Outcome of one closed-loop run on either serving front. On a sharded
+/// fleet `final_digest` is the composite digest at quiesce (comparable 1:1
+/// with the single-writer run of the same config), epoch monotonicity is
+/// checked per shard (a query's epoch is its owning shard's; different
+/// shards' epochs are incomparable by design), and the single-writer
+/// service reports itself as a one-shard fleet.
 struct SvcLoadResult {
   // -- timing-derived (vary run to run) -----------------------------------
   std::size_t queries_ok = 0;
   std::size_t queries_rejected = 0;
   /// Individual answers delivered inside batched queries.
   std::size_t batch_items = 0;
+  /// Epochs published, summed over the shards; depends on how events
+  /// batched. On the single-writer service it equals `final_epoch`.
   std::uint64_t epochs_published = 0;
-  /// Final epoch number == epochs published; depends on how events batched.
+  /// Highest epoch number any shard ended at.
   std::uint64_t final_epoch = 0;
   std::uint64_t submit_retries = 0;
   /// Total backoff the writer slept across all retries (microseconds), and
@@ -74,23 +85,35 @@ struct SvcLoadResult {
   double p99_us = 0.0;
   /// Latency samples beyond the histogram range (tail truncation marker).
   std::uint64_t latency_overflow = 0;
+  /// Halo exchange volume at quiesce (gossip overhead of the sharding; 0
+  /// on the single-writer service).
+  std::uint64_t halo_deltas = 0;
+  std::uint64_t halo_events = 0;
 
   // -- replay identity (bit-identical for any query-thread count) ---------
   /// FNV-1a over the generated event stream.
   std::uint64_t stream_digest = 0;
-  /// `Snapshot::label_digest()` of the final quiesced snapshot.
+  /// Label digest of the final quiesced state.
   std::uint64_t final_digest = 0;
   std::size_t final_faults = 0;
 
   // -- serving invariants --------------------------------------------------
-  /// Every query thread observed monotonically non-decreasing epochs.
+  /// Every query thread observed per-shard monotone epochs.
   bool epochs_monotone = true;
+  std::vector<std::uint64_t> shard_epochs;
 };
 
 /// Runs the closed-loop workload to completion (all events applied, all
 /// queries answered) and reports throughput, tail latency and the replay
 /// digests.
 [[nodiscard]] SvcLoadResult run_svc_load(const SvcLoadConfig& config);
+
+/// The same closed loop against a `ShardedService`: identical (config,
+/// seed) produces the identical event stream, so `final_digest` here must
+/// equal the single-writer run's (`config.service` is ignored; the fleet
+/// shape comes from `service`).
+[[nodiscard]] SvcLoadResult run_sharded_load(
+    const SvcLoadConfig& config, const ShardedServiceConfig& service);
 
 /// Canned profiles shared by the bench harness (`bench/svc_load`) and the
 /// experiments table so both measure the same workloads.
@@ -105,48 +128,6 @@ struct SvcLoadResult {
 /// where route-cache carry-over and page sharing pay off together.
 [[nodiscard]] SvcLoadConfig mixed_rate_profile(std::size_t query_threads);
 
-/// Sharded twin of `SvcLoadResult`: same timing-derived and replay-identity
-/// split, with the final digest being the composite digest at quiesce and
-/// monotonicity checked per shard (a query's epoch is its owning shard's —
-/// different shards' epochs are incomparable by design).
-struct ShardedLoadResult {
-  // -- timing-derived ------------------------------------------------------
-  std::size_t queries_ok = 0;
-  std::size_t queries_rejected = 0;
-  std::size_t batch_items = 0;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
-  double wall_seconds = 0.0;
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  std::uint64_t latency_overflow = 0;
-  /// Halo exchange volume at quiesce (gossip overhead of the sharding).
-  std::uint64_t halo_deltas = 0;
-  std::uint64_t halo_events = 0;
-
-  // -- replay identity (bit-identical for any query-thread count) ---------
-  std::uint64_t stream_digest = 0;
-  /// `composite_label_digest` over the quiesced fleet — comparable 1:1 with
-  /// `SvcLoadResult::final_digest` for the same (config, seed).
-  std::uint64_t final_digest = 0;
-  std::size_t final_faults = 0;
-
-  // -- serving invariants --------------------------------------------------
-  /// Every query thread observed per-shard monotone epochs.
-  bool epochs_monotone = true;
-  std::vector<std::uint64_t> shard_epochs;
-};
-
-/// Runs the closed-loop workload against a `ShardedService`. The workload
-/// shape and every seed fork come from `config` exactly as in
-/// `run_svc_load` — identical (config, seed) produces the identical event
-/// stream, so `final_digest` here must equal the single-writer run's
-/// (`config.service` is ignored; the fleet shape comes from `service`).
-[[nodiscard]] ShardedLoadResult run_sharded_load(
-    const SvcLoadConfig& config, const ShardedServiceConfig& service);
-
 /// The seeded churn stream the generator replays, exposed for tests that
 /// drive `IngestEngine::apply` directly with deterministic batching.
 [[nodiscard]] std::vector<FaultEvent> generate_event_stream(
@@ -156,5 +137,110 @@ struct ShardedLoadResult {
 /// FNV-1a digest of an event stream.
 [[nodiscard]] std::uint64_t event_stream_digest(
     const std::vector<FaultEvent>& events);
+
+// ---------------------------------------------------------------------------
+// Building blocks shared by every seeded churn driver: this closed loop, the
+// chaos harness and schedule explorers, and the allocation drivers.
+
+/// The seeded churn a driver replays: machine, initial faults (labeled as
+/// epoch 0), the event stream with its digest, and the net fault set after
+/// the whole stream (events are state-setting, so this shadow replay is the
+/// expected end state however the stream is batched, delayed or replayed).
+struct SeededChurn {
+  mesh::Mesh2D machine;
+  grid::CellSet initial;
+  std::vector<FaultEvent> stream;
+  std::uint64_t stream_digest = 0;
+  grid::CellSet net_faults;
+  /// The master RNG after the two standard forks (initial faults, then
+  /// stream); drivers fork their own streams (query threads, jobs, ...)
+  /// from here, so every driver's digests agree for the same seed.
+  stats::Rng master;
+};
+
+[[nodiscard]] SeededChurn seeded_churn(std::int32_t mesh_side,
+                                       mesh::Topology topology,
+                                       std::size_t initial_faults,
+                                       std::size_t events,
+                                       double repair_fraction,
+                                       std::uint64_t seed);
+
+enum class SubmitVerdict : std::uint8_t { Accepted, Closed, Exhausted };
+
+/// Submits `event` to either serving front, retrying `Overloaded` verdicts
+/// under `backoff` until accepted, the queue closes, or the policy's retry
+/// budget is spent (0 = never). `retries` and `slept_us` accumulate; what a
+/// refusal means (shed, or an invariant violation) is the caller's policy.
+template <class Front>
+SubmitVerdict submit_with_backoff(Front& front, const FaultEvent& event,
+                                  const BackoffPolicy& backoff,
+                                  std::uint64_t& retries,
+                                  std::uint64_t& slept_us);
+
+/// One query of the closed-loop mix: 50% status, 30% region, 20% route
+/// (source drawn before destination), uniform over the machine.
+[[nodiscard]] QueryItem random_query_item(const mesh::Mesh2D& machine,
+                                          stats::Rng& rng);
+
+/// A single answered query and the epoch it observed, with the shard whose
+/// epoch that is (a route's is its source owner's; always 0 on `Service`).
+struct QueryStep {
+  QueryStatus status = QueryStatus::Ok;
+  std::uint64_t epoch = 0;
+  std::uint32_t shard = 0;
+};
+
+/// Draws one `random_query_item` and runs it as a single query on `front`.
+template <class Front>
+QueryStep random_query(const Front& front, const mesh::Mesh2D& machine,
+                       stats::Rng& rng);
+
+/// What a quiesced front serves; the single-writer service reports itself
+/// as a one-shard fleet.
+struct FrontState {
+  /// `label_digest` of the final snapshot; the composite digest on a fleet.
+  std::uint64_t digest = 0;
+  /// Faulty cells, each read from its owning shard's snapshot.
+  std::size_t faults = 0;
+  std::vector<std::uint64_t> shard_epochs;
+  /// Summed over the shards.
+  std::uint64_t epochs_published = 0;
+  std::uint64_t halo_deltas = 0;
+  std::uint64_t halo_events = 0;
+  /// Bounded-staleness watermark (`Service::stale_epochs_pending`; a fleet
+  /// reports 0).
+  std::uint64_t stale_epochs_pending = 0;
+};
+
+/// `label_digest` of a clean labeling of `faults`: what a front must
+/// publish once it has applied any stream whose net fault set this is.
+[[nodiscard]] std::uint64_t clean_label_digest(const grid::CellSet& faults,
+                                               const IngestConfig& ingest);
+
+[[nodiscard]] FrontState front_state(const Service& service);
+[[nodiscard]] FrontState front_state(const ShardedService& fleet);
+
+[[nodiscard]] inline std::uint32_t shard_count(const Service&) { return 1; }
+[[nodiscard]] inline std::uint32_t shard_count(const ShardedService& fleet) {
+  return fleet.shard_grid().count();
+}
+
+/// Per-shard epoch monotonicity of the answers one reader observed.
+class EpochTracker {
+ public:
+  explicit EpochTracker(std::uint32_t shards) : last_(shards, 0) {}
+  [[nodiscard]] std::uint64_t last(std::uint32_t shard) const {
+    return last_[shard];
+  }
+  /// Records `epoch` for `shard`; false when it went backwards.
+  bool note(std::uint32_t shard, std::uint64_t epoch) {
+    const bool monotone = epoch >= last_[shard];
+    last_[shard] = std::max(last_[shard], epoch);
+    return monotone;
+  }
+
+ private:
+  std::vector<std::uint64_t> last_;
+};
 
 }  // namespace ocp::svc

@@ -141,12 +141,12 @@ TEST(ShardedScheduleTest, CleanScheduleHoldsAllInvariants) {
       {ShardedOpKind::Flush, 0, 0},   {ShardedOpKind::Submit, 40, 0},
       {ShardedOpKind::Query, 16, 0},  {ShardedOpKind::Flush, 0, 0},
   };
-  const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+  const ScheduleResult result = run_schedule(config, schedule);
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? ""
                                    : result.violations.front());
   EXPECT_EQ(result.final_digest, result.expected_digest);
-  EXPECT_EQ(result.kills, 0u);
+  EXPECT_EQ(result.injected.kills, 0u);
   EXPECT_GT(result.queries_ok, 0u);
 }
 
@@ -165,7 +165,7 @@ TEST(ShardedScheduleTest, KillScheduleConvergesAfterQuiesce) {
       {ShardedOpKind::KillShard, 16, 1}, {ShardedOpKind::Query, 8, 0},
       {ShardedOpKind::KillShard, 16, 2}, {ShardedOpKind::Flush, 0, 0},
   };
-  const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+  const ScheduleResult result = run_schedule(config, schedule);
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? ""
                                    : result.violations.front());
@@ -182,7 +182,7 @@ TEST(ShardedScheduleTest, SeededExplorationSweepPasses) {
     config.service.shard_rows = 2;
     config.service.shard_cols = 2;
     const auto schedule = generate_sharded_schedule(seed * 31 + 7, 24, 4);
-    const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+    const ScheduleResult result = run_schedule(config, schedule);
     EXPECT_TRUE(result.ok())
         << "seed " << seed << ": "
         << (result.violations.empty() ? "" : result.violations.front());

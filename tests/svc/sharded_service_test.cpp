@@ -409,7 +409,7 @@ TEST(ShardedServiceTest, LoadHarnessMatchesSingleWriterAtEveryThreadCount) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
       config.query_threads = threads;
-      const ShardedLoadResult sharded = run_sharded_load(
+      const SvcLoadResult sharded = run_sharded_load(
           config, {.shard_rows = 2, .shard_cols = 2});
       EXPECT_EQ(sharded.stream_digest, reference.stream_digest);
       EXPECT_EQ(sharded.final_digest, reference.final_digest)
@@ -426,7 +426,7 @@ TEST(ShardedServiceTest, OneShardFleetMatchesSingleWriterService) {
   config.events = 64;
   config.queries_per_thread = 100;
   const SvcLoadResult reference = run_svc_load(config);
-  const ShardedLoadResult one =
+  const SvcLoadResult one =
       run_sharded_load(config, {.shard_rows = 1, .shard_cols = 1});
   EXPECT_EQ(one.final_digest, reference.final_digest);
   EXPECT_EQ(one.halo_deltas, 0u);  // nobody to gossip with
