@@ -15,7 +15,12 @@ const char* to_string(Dir d) noexcept {
 }
 
 std::string to_string(Coord c) {
-  return "(" + std::to_string(c.x) + ", " + std::to_string(c.y) + ")";
+  std::string out = "(";
+  out += std::to_string(c.x);
+  out += ", ";
+  out += std::to_string(c.y);
+  out += ')';
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, Coord c) {

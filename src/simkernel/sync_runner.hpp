@@ -149,10 +149,10 @@ RunResult<P> run_sync(const mesh::AdjacencyTable& adj, const P& proto,
     active.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) active.push_back(i);
   } else {
-    msgs.resize(node_count + 1);
-    msgs_next.resize(node_count + 1);
-    msgs[node_count] = ghost;
-    msgs_next[node_count] = ghost;
+    // Slot node_count is the ghost every off-mesh link reads; the node
+    // slots are refreshed from announce() before any sweep reads them.
+    msgs.assign(node_count + 1, ghost);
+    msgs_next.assign(node_count + 1, ghost);
     for (std::size_t i = 0; i < node_count; ++i) {
       part_nodes_prev +=
           static_cast<std::uint64_t>(proto.participates(curr.at_index(i)));

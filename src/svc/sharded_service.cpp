@@ -66,7 +66,7 @@ struct ShardedService::ShardRuntime {
   Shard shard;
   /// Halo deltas awaiting this shard's next batch; guarded by the service
   /// mutex, like the flags below.
-  std::deque<HaloDelta> inbox;
+  std::vector<HaloDelta> inbox;
   /// True between a drain and the corresponding apply completing — the
   /// window the flush barrier must not cross.
   bool draining = false;
@@ -135,9 +135,7 @@ void ShardedService::worker_loop(std::uint32_t index) {
         return stopping_ || rt.queue.depth() > 0 || !rt.inbox.empty();
       });
       if (stopping_ && rt.queue.depth() == 0 && rt.inbox.empty()) break;
-      halo.assign(std::make_move_iterator(rt.inbox.begin()),
-                  std::make_move_iterator(rt.inbox.end()));
-      rt.inbox.clear();
+      halo.swap(rt.inbox);
       external = rt.queue.try_drain(config_.max_batch);
       rt.draining = !external.empty() || !halo.empty();
     }

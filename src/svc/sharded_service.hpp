@@ -39,7 +39,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
