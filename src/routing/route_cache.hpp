@@ -117,14 +117,8 @@ class RouteCache {
     return misses_.load(std::memory_order_relaxed);
   }
 
-  /// Lock acquisitions on this view's lookup paths: reader side (none — a
-  /// hit probes the table without a lock) and the writer mutex a miss
-  /// takes to insert. The serving layer exports them so contention on
-  /// shared cache state is attributable when a closed-loop curve goes flat.
-  [[nodiscard]] static constexpr std::uint64_t shared_lock_acquisitions()
-      noexcept {
-    return 0;
-  }
+  /// Writer-mutex acquisitions on this view's lookup paths: one per miss
+  /// that inserts. A hit probes the table without any lock.
   [[nodiscard]] std::uint64_t exclusive_lock_acquisitions() const noexcept {
     return exclusive_locks_.load(std::memory_order_relaxed);
   }

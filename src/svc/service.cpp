@@ -4,27 +4,6 @@
 
 namespace ocp::svc {
 
-/// RAII admission token for the query front: one increment per executing
-/// query; rejected entries never hold the slot.
-class Service::InflightGate {
- public:
-  explicit InflightGate(const Service& service)
-      : service_(service), admitted_(service.admit_query()) {}
-  ~InflightGate() {
-    if (admitted_) {
-      service_.inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  InflightGate(const InflightGate&) = delete;
-  InflightGate& operator=(const InflightGate&) = delete;
-
-  [[nodiscard]] bool admitted() const noexcept { return admitted_; }
-
- private:
-  const Service& service_;
-  bool admitted_;
-};
-
 Service::Service(grid::CellSet initial_faults, ServiceConfig config)
     : config_(config),
       queue_(config.queue_capacity, config.ingest.chaos),
@@ -236,21 +215,9 @@ void Service::note_staleness() const {
   config_.ingest.trace.counter("svc.stale_epochs_served", 1);
 }
 
-bool Service::admit_query() const {
-  const std::size_t cap = config_.max_inflight_queries;
-  const std::int64_t running =
-      inflight_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (cap != 0 && running >= static_cast<std::int64_t>(cap)) {
-    inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
-    query_overloads_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 StatusAnswer Service::query_status(mesh::Coord node) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   // Contention-free acquisition: the reference is pinned by this thread's
   // epoch handle for the duration of the query (see IngestEngine::acquire).
   const Snapshot& snap = engine_.acquire();
@@ -264,8 +231,8 @@ StatusAnswer Service::query_status(mesh::Coord node) const {
 }
 
 RegionAnswer Service::query_region(mesh::Coord node) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   const Snapshot& snap = engine_.acquire();
   note_staleness();
   if (!snap.machine().contains(node)) {
@@ -283,39 +250,23 @@ RegionAnswer Service::query_region(mesh::Coord node) const {
 }
 
 RouteAnswer Service::query_route(mesh::Coord src, mesh::Coord dst) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   const Snapshot& snap = engine_.acquire();
   note_staleness();
   if (!snap.machine().contains(src) || !snap.machine().contains(dst)) {
     return {.status = QueryStatus::InvalidArgument, .epoch = snap.epoch()};
   }
-  const obs::TraceConfig& trace = config_.ingest.trace;
-  if (!trace.rounds()) {
-    return {.status = QueryStatus::Ok,
-            .epoch = snap.epoch(),
-            .route = snap.route(src, dst)};
-  }
-  // Contention attribution (round-level tracing only): how many reader-lock
-  // acquisitions this query's window saw on the epoch's route cache. Hits
-  // probe the route store without a lock, so the instant reads 0; it stays
-  // in the stream so a flat qps curve can rule the cache out.
-  const std::uint64_t before = snap.route_cache().shared_lock_acquisitions();
-  RouteAnswer answer{.status = QueryStatus::Ok,
-                     .epoch = snap.epoch(),
-                     .route = snap.route(src, dst)};
-  trace.instant(
-      "svc.query.cache_lock_touches",
-      static_cast<std::int64_t>(snap.route_cache().shared_lock_acquisitions() -
-                                before));
-  return answer;
+  return {.status = QueryStatus::Ok,
+          .epoch = snap.epoch(),
+          .route = snap.route(src, dst)};
 }
 
 BatchAnswer Service::query_batch(
     const std::vector<QueryItem>& items,
     std::chrono::steady_clock::time_point deadline) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   // One snapshot acquisition for the whole batch: every item is answered
   // against the same epoch. The thread's epoch handle pins the reference
   // across the loop (no further acquire happens on this thread meanwhile).
@@ -367,7 +318,7 @@ ServiceStats Service::stats() const {
           .queue_depth = queue_.depth(),
           .events_accepted = queue_.accepted(),
           .events_rejected = queue_.rejected(),
-          .query_overloads = query_overloads_.load(std::memory_order_relaxed),
+          .query_overloads = query_gate_.overloads(),
           .chaos_denied = queue_.chaos_denied(),
           .stale_epochs_pending = engine_.stale_epochs_pending(),
           .stale_queries_served =

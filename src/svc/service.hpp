@@ -29,6 +29,7 @@
 // replays the crash's requeued backlog to digest-identical convergence.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -123,6 +124,49 @@ struct BatchAnswer {
   /// Items actually executed before any deadline expiry.
   std::size_t completed = 0;
   std::vector<BatchItemAnswer> items;
+};
+
+/// Query admission for a serving front: caps the queries executing at once
+/// (0 = unbounded) and counts the rejections.
+class QueryGate {
+ public:
+  /// RAII admission token: one increment per executing query; a rejected
+  /// entry never holds the slot.
+  class Ticket {
+   public:
+    Ticket(const QueryGate& gate, std::size_t cap)
+        : gate_(gate), admitted_(gate.admit(cap)) {}
+    ~Ticket() {
+      if (admitted_) gate_.inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    Ticket(const Ticket&) = delete;
+    Ticket& operator=(const Ticket&) = delete;
+
+    [[nodiscard]] bool admitted() const noexcept { return admitted_; }
+
+   private:
+    const QueryGate& gate_;
+    bool admitted_;
+  };
+
+  [[nodiscard]] std::uint64_t overloads() const noexcept {
+    return overloads_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  [[nodiscard]] bool admit(std::size_t cap) const {
+    const std::int64_t running =
+        inflight_.fetch_add(1, std::memory_order_relaxed);
+    if (cap != 0 && running >= static_cast<std::int64_t>(cap)) {
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      overloads_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+
+  mutable std::atomic<std::int64_t> inflight_{0};
+  mutable std::atomic<std::uint64_t> overloads_{0};
 };
 
 /// Aggregated service health for dashboards and tests.
@@ -223,10 +267,7 @@ class Service {
   [[nodiscard]] const IngestEngine& engine() const noexcept { return engine_; }
 
  private:
-  class InflightGate;
-
   void ingest_loop();
-  [[nodiscard]] bool admit_query() const;
   /// Counts a query answered while the serving epoch is withheld-behind.
   void note_staleness() const;
 
@@ -249,8 +290,7 @@ class Service {
   /// applied" accounting.
   std::vector<FaultEvent> deferred_;
 
-  mutable std::atomic<std::int64_t> inflight_queries_{0};
-  mutable std::atomic<std::uint64_t> query_overloads_{0};
+  QueryGate query_gate_;
   mutable std::atomic<std::uint64_t> stale_queries_served_{0};
 
   std::thread ingest_thread_;

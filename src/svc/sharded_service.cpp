@@ -33,28 +33,6 @@ void parallel_for(std::size_t count, const Body& body) {
 
 }  // namespace
 
-/// RAII admission token, identical in contract to Service::InflightGate:
-/// one fleet-wide increment per executing query, rejected entries never
-/// hold the slot.
-class ShardedService::InflightGate {
- public:
-  explicit InflightGate(const ShardedService& service)
-      : service_(service), admitted_(service.admit_query()) {}
-  ~InflightGate() {
-    if (admitted_) {
-      service_.inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  InflightGate(const InflightGate&) = delete;
-  InflightGate& operator=(const InflightGate&) = delete;
-
-  [[nodiscard]] bool admitted() const noexcept { return admitted_; }
-
- private:
-  const ShardedService& service_;
-  bool admitted_;
-};
-
 struct ShardedService::ShardRuntime {
   ShardRuntime(std::uint32_t index, const ShardGrid& grid,
                grid::CellSet initial, const IngestConfig& config,
@@ -249,25 +227,13 @@ bool ShardedService::restart_shard(std::uint32_t shard) {
   return true;
 }
 
-bool ShardedService::admit_query() const {
-  const std::size_t cap = config_.max_inflight_queries;
-  const std::int64_t running =
-      inflight_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (cap != 0 && running >= static_cast<std::int64_t>(cap)) {
-    inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
-    query_overloads_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 const Snapshot& ShardedService::acquire(std::uint32_t s) const {
   return shards_[s]->shard.engine().acquire();
 }
 
 StatusAnswer ShardedService::query_status(mesh::Coord node) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   if (!grid_.machine().contains(node)) {
     return {.status = QueryStatus::InvalidArgument,
             .epoch = acquire(0).epoch()};
@@ -279,8 +245,8 @@ StatusAnswer ShardedService::query_status(mesh::Coord node) const {
 }
 
 RegionAnswer ShardedService::query_region(mesh::Coord node) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   if (!grid_.machine().contains(node)) {
     return {.status = QueryStatus::InvalidArgument,
             .epoch = acquire(0).epoch()};
@@ -356,45 +322,24 @@ routing::Route ShardedService::stitch_route(mesh::Coord src, mesh::Coord dst,
 
 RouteAnswer ShardedService::query_route(mesh::Coord src,
                                         mesh::Coord dst) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   if (!grid_.machine().contains(src) || !grid_.machine().contains(dst)) {
     return {.status = QueryStatus::InvalidArgument,
             .epoch = acquire(0).epoch()};
   }
   ShardPinSet pins(*this);
   const std::uint64_t epoch = pins.get(grid_.shard_of(src)).epoch();
-  const obs::TraceConfig& trace = config_.ingest.trace;
-  if (!trace.rounds()) {
-    return {.status = QueryStatus::Ok,
-            .epoch = epoch,
-            .route = stitch_route(src, dst, pins)};
-  }
-  // Contention attribution (round-level tracing only): instants of the
-  // reader-lock acquisitions this query's window saw on the pinned epochs'
-  // route caches. Hits take no lock, so the instant reads 0; it stays in
-  // the stream so a flat qps curve can rule the caches out.
-  const auto cache_locks = [this, &pins] {
-    std::uint64_t locks = 0;
-    for (std::uint32_t s = 0; s < grid_.count(); ++s) {
-      locks += pins.get(s).route_cache().shared_lock_acquisitions();
-    }
-    return locks;
-  };
-  const std::uint64_t before = cache_locks();
-  RouteAnswer answer{.status = QueryStatus::Ok,
-                     .epoch = epoch,
-                     .route = stitch_route(src, dst, pins)};
-  trace.instant("svc.query.cache_lock_touches",
-                static_cast<std::int64_t>(cache_locks() - before));
-  return answer;
+  return {.status = QueryStatus::Ok,
+          .epoch = epoch,
+          .route = stitch_route(src, dst, pins)};
 }
 
 ShardedBatchAnswer ShardedService::query_batch(
     const std::vector<QueryItem>& items,
     std::chrono::steady_clock::time_point deadline) const {
-  InflightGate gate(*this);
-  if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
+  const QueryGate::Ticket ticket(query_gate_, config_.max_inflight_queries);
+  if (!ticket.admitted()) return {.status = QueryStatus::Overloaded};
   ShardedBatchAnswer answer;
   answer.items.resize(items.size());
   const mesh::Mesh2D& m = grid_.machine();
@@ -481,7 +426,7 @@ ShardedStats ShardedService::stats() const {
     stats.ingest.route_entries_awaiting += ingest.route_entries_awaiting;
     stats.ingest.route_bytes += ingest.route_bytes;
   }
-  stats.query_overloads = query_overloads_.load(std::memory_order_relaxed);
+  stats.query_overloads = query_gate_.overloads();
   std::lock_guard lock(mu_);
   stats.halo_deltas = halo_deltas_;
   stats.halo_events = halo_events_;

@@ -157,14 +157,12 @@ class ShardedService {
 
  private:
   struct ShardRuntime;
-  class InflightGate;
   /// Per-query pin set: at most one acquire per shard per query, so the
   /// whole query reads consistent per-shard epochs and no pinned reference
   /// is retired mid-query (definition in the .cpp).
   struct ShardPinSet;
 
   void worker_loop(std::uint32_t shard);
-  [[nodiscard]] bool admit_query() const;
   /// Cross-shard route stitching against pinned per-shard epochs.
   [[nodiscard]] routing::Route stitch_route(mesh::Coord src, mesh::Coord dst,
                                             ShardPinSet& pins) const;
@@ -185,8 +183,7 @@ class ShardedService {
   std::uint64_t halo_deltas_ = 0;  // guarded by mu_
   std::uint64_t halo_events_ = 0;  // guarded by mu_
 
-  mutable std::atomic<std::int64_t> inflight_queries_{0};
-  mutable std::atomic<std::uint64_t> query_overloads_{0};
+  QueryGate query_gate_;
 };
 
 /// Folds per-shard snapshots (one per `grid` shard, in shard order) into
