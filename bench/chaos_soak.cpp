@@ -1,11 +1,11 @@
 // Chaos soak CLI for the serving runtime (run_bench.sh --chaos).
 //
 // Default run: a seed sweep of `chaos::run_chaos_load` — each seed replays
-// one event stream through a Service twice, chaotic (kills + restarts,
-// poisoned verdicts, denied admissions, duplicated/deferred/stalled
-// batches, racing query threads) and clean, and demands digest-identical
-// convergence — followed by a sweep of generated driver schedules through
-// `chaos::run_schedule`. Any failing schedule is ddmin-shrunk and printed
+// one event stream through a chaotic Service (kills + restarts, poisoned
+// verdicts, denied admissions, duplicated/deferred/stalled batches, racing
+// query threads) and demands it converge to the digest of a clean labeling
+// of the net fault set — followed by a sweep of generated driver schedules
+// through `chaos::run_schedule`. Any failing schedule is ddmin-shrunk and printed
 // as a one-line repro. Exit status is nonzero iff any run violated a
 // degraded-mode invariant.
 //

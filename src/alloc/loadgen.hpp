@@ -1,18 +1,18 @@
 // Deterministic closed-loop workload driver for the allocation subsystem.
 //
-// One seeded master RNG forks independent streams — initial fault pattern,
-// fault/repair churn, job sizes+lifetimes, the eviction-storm center, one
-// stream per reader thread — with the same `fork_trial_seeds` discipline as
-// the svc load generator. A single writer interleaves job submissions with
-// fault batches applied through a private `IngestEngine` whose `on_publish`
-// epoch hook feeds every turnover (snapshot + dirty cells) straight into
-// the `AllocEngine`; reader threads hammer the RCU-published `AllocView`
-// checking epoch/tick monotonicity. Because every allocation decision is
-// made by the single writer from seeded streams, the replay-identity
-// outputs (stream/job/placement digests, final utilization/fragmentation,
-// storm recovery ticks) are bit-identical at any reader-thread count — the
-// 1/2/8-thread acceptance criterion — while the timing-derived outputs
-// (wall time, placement-decision latency percentiles) vary run to run.
+// One seeded master RNG forks independent streams — initial fault pattern and
+// fault/repair churn (`svc::seeded_churn`, as every churn driver does), then
+// job sizes+lifetimes and the eviction-storm center. A single writer
+// interleaves job submissions with fault batches applied through a private
+// `IngestEngine` whose `on_publish` epoch hook feeds every turnover (snapshot +
+// dirty cells) straight into the `AllocEngine`; reader threads hammer the
+// RCU-published `AllocView` checking epoch/tick monotonicity. Because every
+// allocation decision is made by the single writer from seeded streams, the
+// replay-identity outputs (stream/job/placement digests, final
+// utilization/fragmentation, storm recovery ticks) are bit-identical at any
+// reader-thread count — the 1/2/8-thread acceptance criterion — while the
+// timing-derived outputs (wall time, placement-decision latency percentiles)
+// vary run to run.
 //
 // Mid-run the driver injects an eviction storm: a clustered block of
 // faults applied as one batch, mass-evicting every job it hits. Recovery is

@@ -7,6 +7,7 @@
 #include "alloc/oracle.hpp"
 #include "chaos/schedule.hpp"
 #include "svc/ingest.hpp"
+#include "svc/loadgen.hpp"
 
 namespace ocp::chaos {
 
@@ -40,7 +41,7 @@ ExecOutcome execute(const AllocScheduleConfig& config,
       config.repair_fraction, config.seed);
   const mesh::Mesh2D& machine = churn.machine;
   const std::vector<svc::FaultEvent>& stream = churn.stream;
-  // Same fork order as run_alloc_load minus the reader seeds.
+  // Same fork order as run_alloc_load: jobs, then the storm center.
   const std::uint64_t job_seed = churn.master.fork_seed();
   stats::Rng storm_rng(churn.master.fork_seed());
   const std::vector<alloc::JobRequest> jobs = alloc::generate_job_stream(
@@ -164,33 +165,27 @@ ExecOutcome execute(const AllocScheduleConfig& config,
 std::vector<AllocOp> generate_alloc_schedule(std::uint64_t seed,
                                              std::size_t ops,
                                              std::size_t max_burst) {
+  static constexpr std::array<std::pair<std::int64_t, AllocOpKind>, 5> kMix =
+      {{{35, AllocOpKind::SubmitJobs}, {60, AllocOpKind::Faults},
+        {80, AllocOpKind::Tick}, {90, AllocOpKind::Release},
+        {100, AllocOpKind::Kill}}};
   stats::Rng rng(seed);
-  const auto burst = [&] { return random_burst(rng, max_burst); };
   std::vector<AllocOp> schedule;
   schedule.reserve(ops + 3);
-  const std::size_t mid = ops / 2;
   for (std::size_t i = 0; i < ops; ++i) {
-    if (i == mid) {
+    if (i == ops / 2) {
       // Guaranteed coverage: kill the writer while the storm's evictions
       // are being applied (the Faults burst keeps publishing epochs the
       // armed stamp can land on).
       schedule.push_back({AllocOpKind::Storm, 0});
       schedule.push_back({AllocOpKind::Kill, 0});
-      schedule.push_back({AllocOpKind::Faults, burst()});
+      schedule.push_back({AllocOpKind::Faults, random_burst(rng, max_burst)});
       continue;
     }
-    const std::int64_t roll = rng.uniform_int(0, 99);
-    if (roll < 35) {
-      schedule.push_back({AllocOpKind::SubmitJobs, burst()});
-    } else if (roll < 60) {
-      schedule.push_back({AllocOpKind::Faults, burst()});
-    } else if (roll < 80) {
-      schedule.push_back({AllocOpKind::Tick, burst()});
-    } else if (roll < 90) {
-      schedule.push_back({AllocOpKind::Release, burst()});
-    } else {
-      schedule.push_back({AllocOpKind::Kill, 0});
-    }
+    const AllocOpKind kind = pick_kind(kMix, rng.uniform_int(0, 99));
+    schedule.push_back(
+        {kind, kind == AllocOpKind::Kill ? std::uint16_t{0}
+                                         : random_burst(rng, max_burst)});
   }
   return schedule;
 }

@@ -215,17 +215,10 @@ class Execution {
   }
 
   void finish() {
-    const svc::FrontState state = svc::front_state(front_);
-    result_.final_digest = state.digest;
-    result_.final_faults = state.faults;
-    result_.stale_epochs_pending = state.stale_epochs_pending;
-    result_.halo_deltas = state.halo_deltas;
-    result_.halo_events = state.halo_events;
-    for (std::uint32_t s = 0; s < state.shard_epochs.size(); ++s) {
-      note_epoch(s, state.shard_epochs[s], "final");
+    static_cast<svc::QuiescedState&>(result_) = svc::quiesced_state(front_);
+    for (std::uint32_t s = 0; s < result_.shard_epochs.size(); ++s) {
+      note_epoch(s, result_.shard_epochs[s], "final");
     }
-    result_.final_epoch = *std::max_element(state.shard_epochs.begin(),
-                                            state.shard_epochs.end());
     for (const auto& plan : plans_) {
       const PlanStats stats = plan->stats();
       result_.injected.denies += stats.denies;
@@ -270,28 +263,18 @@ std::uint16_t random_burst(stats::Rng& rng, std::size_t max_burst) {
 
 std::vector<Op> generate_schedule(std::uint64_t seed, std::size_t ops,
                                   std::size_t max_burst) {
+  // Submit/query heavy so most schedules actually move state; barriers and
+  // lifecycle ops are spice, not the meal.
+  static constexpr std::array<std::pair<double, OpKind>, 7> kMix = {
+      {{0.32, OpKind::Submit}, {0.64, OpKind::Query}, {0.74, OpKind::Flush},
+       {0.82, OpKind::Pause}, {0.92, OpKind::Resume},
+       {0.96, OpKind::RetryPublish}, {1.0, OpKind::Restart}}};
   stats::Rng rng(seed);
-  const auto burst = [&] { return random_burst(rng, max_burst); };
-  std::vector<Op> schedule;
-  schedule.reserve(ops);
-  for (std::size_t i = 0; i < ops; ++i) {
-    const double pick = rng.uniform();
-    // Submit/query heavy so most schedules actually move state; barriers
-    // and lifecycle ops are spice, not the meal.
-    if (pick < 0.32) {
-      schedule.push_back({OpKind::Submit, burst()});
-    } else if (pick < 0.64) {
-      schedule.push_back({OpKind::Query, burst()});
-    } else if (pick < 0.74) {
-      schedule.push_back({OpKind::Flush, 0});
-    } else if (pick < 0.82) {
-      schedule.push_back({OpKind::Pause, 0});
-    } else if (pick < 0.92) {
-      schedule.push_back({OpKind::Resume, 0});
-    } else if (pick < 0.96) {
-      schedule.push_back({OpKind::RetryPublish, 0});
-    } else {
-      schedule.push_back({OpKind::Restart, 0});
+  std::vector<Op> schedule(ops);
+  for (Op& op : schedule) {
+    op.kind = pick_kind(kMix, rng.uniform());
+    if (kOpAlphabet[static_cast<std::size_t>(op.kind)].counted) {
+      op.count = random_burst(rng, max_burst);
     }
   }
   return schedule;
@@ -301,28 +284,24 @@ std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
                                                  std::size_t ops,
                                                  std::uint32_t shards,
                                                  std::size_t max_burst) {
+  // Kill/restart ops are frequent by single-writer standards: the whole
+  // point of the sharded explorer is shards dying mid-gossip.
+  static constexpr std::array<std::pair<double, ShardedOpKind>, 5> kMix = {
+      {{0.34, ShardedOpKind::Submit}, {0.62, ShardedOpKind::Query},
+       {0.74, ShardedOpKind::Flush}, {0.87, ShardedOpKind::KillShard},
+       {1.0, ShardedOpKind::RestartShard}}};
   stats::Rng rng(seed);
-  const auto burst = [&] { return random_burst(rng, max_burst); };
-  const auto shard = [&rng, shards] {
-    return static_cast<std::uint8_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(std::max<std::uint32_t>(1, shards)) - 1));
-  };
-  std::vector<ShardedOp> schedule;
-  schedule.reserve(ops);
-  for (std::size_t i = 0; i < ops; ++i) {
-    const double pick = rng.uniform();
-    // Kill/restart ops are frequent by single-writer standards: the whole
-    // point of the sharded explorer is shards dying mid-gossip.
-    if (pick < 0.34) {
-      schedule.push_back({ShardedOpKind::Submit, burst(), 0});
-    } else if (pick < 0.62) {
-      schedule.push_back({ShardedOpKind::Query, burst(), 0});
-    } else if (pick < 0.74) {
-      schedule.push_back({ShardedOpKind::Flush, 0, 0});
-    } else if (pick < 0.87) {
-      schedule.push_back({ShardedOpKind::KillShard, burst(), shard()});
-    } else {
-      schedule.push_back({ShardedOpKind::RestartShard, 0, shard()});
+  std::vector<ShardedOp> schedule(ops);
+  for (ShardedOp& op : schedule) {
+    op.kind = pick_kind(kMix, rng.uniform());
+    if (op.kind != ShardedOpKind::Flush &&
+        op.kind != ShardedOpKind::RestartShard) {
+      op.count = random_burst(rng, max_burst);
+    }
+    if (op.kind == ShardedOpKind::KillShard ||
+        op.kind == ShardedOpKind::RestartShard) {
+      op.shard = static_cast<std::uint8_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(std::max<std::uint32_t>(1, shards)) - 1));
     }
   }
   return schedule;

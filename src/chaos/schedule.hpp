@@ -32,6 +32,7 @@
 // (e.g. "S8 P Q16 R F K"), replayable with `bench/chaos_soak --replay`.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -40,6 +41,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "chaos/plan.hpp"
@@ -126,27 +128,30 @@ struct BasicScheduleConfig {
 using ScheduleConfig = BasicScheduleConfig<svc::ServiceConfig>;
 using ShardedScheduleConfig = BasicScheduleConfig<svc::ShardedServiceConfig>;
 
-struct ScheduleResult {
+/// A schedule run's verdict, with the state the quiesced front serves.
+struct ScheduleResult : svc::QuiescedState {
   /// Human-readable invariant violations; empty means the run passed.
   std::vector<std::string> violations;
-  std::uint64_t final_digest = 0;
+  /// Digest of a clean labeling of the net fault set.
   std::uint64_t expected_digest = 0;
-  std::size_t final_faults = 0;
-  /// Highest epoch any shard ended at.
-  std::uint64_t final_epoch = 0;
-  std::uint64_t stale_epochs_pending = 0;
   std::uint64_t queries_ok = 0;
   std::uint64_t queries_rejected = 0;
   std::uint64_t submit_retries = 0;
   std::uint64_t restarts = 0;
-  /// Halo exchange volume at quiesce (0 on the single-writer service).
-  std::uint64_t halo_deltas = 0;
-  std::uint64_t halo_events = 0;
   /// Injections performed, summed over every shard's plan.
   PlanStats injected;
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
+
+/// A generator's op kind: the first row of the cumulative `mix` whose bound
+/// exceeds `roll` (the last bound must exceed every roll).
+template <class Bound, class Kind, std::size_t N>
+Kind pick_kind(const std::array<std::pair<Bound, Kind>, N>& mix, Bound roll) {
+  return std::find_if(mix.begin(), mix.end(), [roll](const auto& row) {
+           return roll < row.first;
+         })->second;
+}
 
 /// A generator's burst size: seeded, uniform in [1, max(1, max_burst)].
 [[nodiscard]] std::uint16_t random_burst(stats::Rng& rng,

@@ -190,28 +190,34 @@ std::uint64_t clean_label_digest(const grid::CellSet& faults,
   return Snapshot::build(0, clean, ingest.hand)->label_digest();
 }
 
-FrontState front_state(const Service& service) {
+QuiescedState quiesced_state(const Service& service) {
   const auto snapshot = service.snapshot();
-  return {.digest = snapshot->label_digest(),
-          .faults = snapshot->faults().size(),
+  return {.final_digest = snapshot->label_digest(),
+          .final_faults = snapshot->faults().size(),
           .shard_epochs = {snapshot->epoch()},
+          .final_epoch = snapshot->epoch(),
           .epochs_published = service.stats().ingest.epochs_published,
           .stale_epochs_pending = service.stale_epochs_pending()};
 }
 
-FrontState front_state(const ShardedService& fleet) {
+QuiescedState quiesced_state(const ShardedService& fleet) {
   const ShardedStats stats = fleet.stats();
-  FrontState state{.digest = fleet.composite_digest(),
-                   .shard_epochs = stats.shard_epochs,
-                   .epochs_published = stats.ingest.epochs_published,
-                   .halo_deltas = stats.halo_deltas,
-                   .halo_events = stats.halo_events};
+  QuiescedState state{
+      .final_digest = fleet.composite_digest(),
+      .shard_epochs = stats.shard_epochs,
+      .final_epoch = *std::max_element(stats.shard_epochs.begin(),
+                                       stats.shard_epochs.end()),
+      .epochs_published = stats.ingest.epochs_published,
+      .halo_deltas = stats.halo_deltas,
+      .halo_events = stats.halo_events};
   const auto snapshots = fleet.snapshots();
   const mesh::Mesh2D& machine = fleet.shard_grid().machine();
   for (std::size_t i = 0; i < static_cast<std::size_t>(machine.node_count());
        ++i) {
     const mesh::Coord c = machine.coord(i);
-    if (snapshots[fleet.shard_of(c)]->faults().contains(c)) ++state.faults;
+    if (snapshots[fleet.shard_of(c)]->faults().contains(c)) {
+      ++state.final_faults;
+    }
   }
   return state;
 }
@@ -340,15 +346,7 @@ SvcLoadResult run_closed_loop(const SvcLoadConfig& config,
   result.p50_us = latency.median();
   result.p99_us = latency.p99();
   result.latency_overflow = latency.overflow();
-  const FrontState state = front_state(front);
-  result.final_digest = state.digest;
-  result.final_faults = state.faults;
-  result.final_epoch =
-      *std::max_element(state.shard_epochs.begin(), state.shard_epochs.end());
-  result.shard_epochs = state.shard_epochs;
-  result.epochs_published = state.epochs_published;
-  result.halo_deltas = state.halo_deltas;
-  result.halo_events = state.halo_events;
+  static_cast<QuiescedState&>(result) = quiesced_state(front);
   return result;
 }
 

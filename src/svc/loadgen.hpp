@@ -1,21 +1,24 @@
-// Deterministic closed-loop load generator for the serving runtime.
+// Deterministic closed-loop load generator for both serving fronts, and
+// the seeded churn blocks every driver in the repository shares.
 //
 // One seeded master RNG forks independent streams — initial fault pattern,
 // churn event stream, one stream per query thread — with the same
 // `fork_trial_seeds` discipline as the netsim load sweeps, so every run is
 // reproducible from (config, seed). A writer thread replays the event
-// stream through `Service::submit` with closed-loop backpressure (an
+// stream through the front's `submit` with closed-loop backpressure (an
 // `Overloaded` verdict retries rather than drops, so the final fault set —
 // and therefore the final published labeling — is a pure function of the
 // stream, independent of timing and of how many query threads race it).
 // Query threads hammer the query front with a seeded mix of status /
 // region / route / batch queries, recording per-query latency histograms
-// and checking that the epochs they observe never decrease.
+// and checking that the epochs they observe never decrease (per shard on a
+// `ShardedService`). `run_svc_load` and `run_sharded_load` are one loop;
+// only how a batch reports its epochs differs between the fronts.
 //
 // Timing-derived outputs (qps, percentiles, epochs-published) vary run to
 // run; the replay-identity outputs (`stream_digest`, `final_digest`,
-// `final_faults`) are bit-identical for any query-thread count — the
-// property the stress suite and the acceptance criteria pin down.
+// `final_faults`) are bit-identical for any query-thread count and for
+// either front — the property the stress and sharded suites pin down.
 #pragma once
 
 #include <algorithm>
@@ -54,23 +57,44 @@ struct SvcLoadConfig {
   ServiceConfig service;
 };
 
-/// Outcome of one closed-loop run on either serving front. On a sharded
-/// fleet `final_digest` is the composite digest at quiesce (comparable 1:1
-/// with the single-writer run of the same config), epoch monotonicity is
-/// checked per shard (a query's epoch is its owning shard's; different
-/// shards' epochs are incomparable by design), and the single-writer
-/// service reports itself as a one-shard fleet.
-struct SvcLoadResult {
+/// What a quiesced front serves, as the closed loop and the chaos schedule
+/// runner both report it. The single-writer service reports itself as a
+/// one-shard fleet.
+struct QuiescedState {
+  /// `label_digest` of the final snapshot, or on a fleet the composite
+  /// digest (comparable 1:1 with the single-writer run of the same stream).
+  std::uint64_t final_digest = 0;
+  /// Faulty cells, each read from its owning shard's snapshot.
+  std::size_t final_faults = 0;
+  /// Every shard's final epoch, and the highest of them.
+  std::vector<std::uint64_t> shard_epochs;
+  std::uint64_t final_epoch = 0;
+  /// Epochs published, summed over the shards; depends on how events
+  /// batched.
+  std::uint64_t epochs_published = 0;
+  /// Halo exchange volume (gossip overhead of the sharding; 0 on the
+  /// single-writer service).
+  std::uint64_t halo_deltas = 0;
+  std::uint64_t halo_events = 0;
+  /// Bounded-staleness watermark (`Service::stale_epochs_pending`; a fleet
+  /// reports 0).
+  std::uint64_t stale_epochs_pending = 0;
+};
+
+[[nodiscard]] QuiescedState quiesced_state(const Service& service);
+[[nodiscard]] QuiescedState quiesced_state(const ShardedService& fleet);
+
+/// Outcome of one closed-loop run on either serving front. Of the quiesced
+/// state, `final_digest` and `final_faults` are replay-identical (pure
+/// functions of the stream); epochs and halo volume vary run to run.
+/// Epoch monotonicity is checked per shard: a query's epoch is its owning
+/// shard's, and different shards' epochs are incomparable by design.
+struct SvcLoadResult : QuiescedState {
   // -- timing-derived (vary run to run) -----------------------------------
   std::size_t queries_ok = 0;
   std::size_t queries_rejected = 0;
   /// Individual answers delivered inside batched queries.
   std::size_t batch_items = 0;
-  /// Epochs published, summed over the shards; depends on how events
-  /// batched. On the single-writer service it equals `final_epoch`.
-  std::uint64_t epochs_published = 0;
-  /// Highest epoch number any shard ended at.
-  std::uint64_t final_epoch = 0;
   std::uint64_t submit_retries = 0;
   /// Total backoff the writer slept across all retries (microseconds), and
   /// events abandoned after exhausting a finite retry budget (always 0 with
@@ -85,22 +109,14 @@ struct SvcLoadResult {
   double p99_us = 0.0;
   /// Latency samples beyond the histogram range (tail truncation marker).
   std::uint64_t latency_overflow = 0;
-  /// Halo exchange volume at quiesce (gossip overhead of the sharding; 0
-  /// on the single-writer service).
-  std::uint64_t halo_deltas = 0;
-  std::uint64_t halo_events = 0;
 
   // -- replay identity (bit-identical for any query-thread count) ---------
   /// FNV-1a over the generated event stream.
   std::uint64_t stream_digest = 0;
-  /// Label digest of the final quiesced state.
-  std::uint64_t final_digest = 0;
-  std::size_t final_faults = 0;
 
   // -- serving invariants --------------------------------------------------
   /// Every query thread observed per-shard monotone epochs.
   bool epochs_monotone = true;
-  std::vector<std::uint64_t> shard_epochs;
 };
 
 /// Runs the closed-loop workload to completion (all events applied, all
@@ -167,7 +183,7 @@ struct SeededChurn {
 
 enum class SubmitVerdict : std::uint8_t { Accepted, Closed, Exhausted };
 
-/// Submits `event` to either serving front, retrying `Overloaded` verdicts
+/// Submits `event` to a `Service` or `ShardedService`, retrying `Overloaded` verdicts
 /// under `backoff` until accepted, the queue closes, or the policy's retry
 /// budget is spent (0 = never). `retries` and `slept_us` accumulate; what a
 /// refusal means (shed, or an invariant violation) is the caller's policy.
@@ -190,35 +206,16 @@ struct QueryStep {
   std::uint32_t shard = 0;
 };
 
-/// Draws one `random_query_item` and runs it as a single query on `front`.
+/// Draws one `random_query_item` and runs it as a single query on `front`
+/// (a `Service` or `ShardedService`).
 template <class Front>
 QueryStep random_query(const Front& front, const mesh::Mesh2D& machine,
                        stats::Rng& rng);
-
-/// What a quiesced front serves; the single-writer service reports itself
-/// as a one-shard fleet.
-struct FrontState {
-  /// `label_digest` of the final snapshot; the composite digest on a fleet.
-  std::uint64_t digest = 0;
-  /// Faulty cells, each read from its owning shard's snapshot.
-  std::size_t faults = 0;
-  std::vector<std::uint64_t> shard_epochs;
-  /// Summed over the shards.
-  std::uint64_t epochs_published = 0;
-  std::uint64_t halo_deltas = 0;
-  std::uint64_t halo_events = 0;
-  /// Bounded-staleness watermark (`Service::stale_epochs_pending`; a fleet
-  /// reports 0).
-  std::uint64_t stale_epochs_pending = 0;
-};
 
 /// `label_digest` of a clean labeling of `faults`: what a front must
 /// publish once it has applied any stream whose net fault set this is.
 [[nodiscard]] std::uint64_t clean_label_digest(const grid::CellSet& faults,
                                                const IngestConfig& ingest);
-
-[[nodiscard]] FrontState front_state(const Service& service);
-[[nodiscard]] FrontState front_state(const ShardedService& fleet);
 
 [[nodiscard]] inline std::uint32_t shard_count(const Service&) { return 1; }
 [[nodiscard]] inline std::uint32_t shard_count(const ShardedService& fleet) {

@@ -75,8 +75,11 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
       if (grid_->owns(index_, state.cell)) {
         // Single authority on owned cells: gossip never wins, but a sender
         // that holds an outdated state gets the current one back.
-        if (state.version < versions_[state.cell]) {
-          stale_beliefs_.emplace_back(delta.source, state.cell);
+        const std::pair belief{delta.source, state.cell};
+        if (state.version < versions_[state.cell] &&
+            std::find(stale_beliefs_.begin(), stale_beliefs_.end(), belief) ==
+                stale_beliefs_.end()) {
+          stale_beliefs_.push_back(belief);
         }
         continue;
       }
@@ -123,31 +126,13 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
 }
 
 void Shard::answer_stale_beliefs(ApplyResult& result) {
-  if (stale_beliefs_.empty()) return;
-  std::sort(stale_beliefs_.begin(), stale_beliefs_.end(),
-            [this](const auto& a, const auto& b) {
-              const mesh::Mesh2D& m = grid_->machine();
-              return a.first != b.first ? a.first < b.first
-                                        : m.index(a.second) < m.index(b.second);
-            });
-  stale_beliefs_.erase(
-      std::unique(stale_beliefs_.begin(), stale_beliefs_.end()),
-      stale_beliefs_.end());
   const grid::CellSet& faults = engine_.labeling().faults();
   for (const auto& [sender, cell] : stale_beliefs_) {
-    const auto entry = std::find_if(
-        result.outgoing.begin(), result.outgoing.end(),
-        [sender](const auto& out) { return out.first == sender; });
-    HaloDelta& delta =
-        entry != result.outgoing.end()
-            ? entry->second
-            : result.outgoing.emplace_back(sender, HaloDelta{index_, {}})
-                  .second;
-    delta.states.push_back({cell, faults.contains(cell), versions_[cell]});
+    result.outgoing.emplace_back(
+        sender,
+        HaloDelta{index_, {{cell, faults.contains(cell), versions_[cell]}}});
   }
   stale_beliefs_.clear();
-  std::sort(result.outgoing.begin(), result.outgoing.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void Shard::emit_extent(ApplyResult& result) {

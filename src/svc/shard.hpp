@@ -133,9 +133,9 @@ class Shard {
 
   struct ApplyResult {
     BatchOutcome outcome;
-    /// Deltas to deliver, grouped per target shard, in ascending target
-    /// order. Empty when the batch's dirty extent stayed inside the shard
-    /// and no sender needs a stale belief answered.
+    /// Deltas to deliver: the extent, once per touched shard in ascending
+    /// order, then one answer per stale belief. Empty when the batch's
+    /// dirty extent stayed inside the shard and no belief was stale.
     std::vector<std::pair<std::uint32_t, HaloDelta>> outgoing;
     /// Synthetic events derived from incoming halo deltas this call (the
     /// gossip overhead a fixpoint round pays, for stats).
@@ -168,8 +168,7 @@ class Shard {
  private:
   /// Sends the batch's deduped dirty extent to every shard it touches.
   void emit_extent(ApplyResult& result);
-  /// Appends the current state of every recorded stale belief to the
-  /// delta for its sender.
+  /// Answers every recorded stale belief with the cell's current state.
   void answer_stale_beliefs(ApplyResult& result);
 
   std::uint32_t index_;
