@@ -80,6 +80,7 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
 
   svc::BackoffPolicy backoff = config.submit_backoff;
   if (backoff.base_us == 0) backoff.base_us = 2;  // never spin under chaos
+  backoff.retry_budget = 0;  // never shed: the digest check needs every event
   std::uint64_t slept_us = 0;
   for (const svc::FaultEvent& event : churn.stream) {
     static_cast<void>(svc::submit_with_backoff(

@@ -35,6 +35,7 @@ struct ChaosLoadConfig {
   PlanSpec plan;
   /// Supervisor poll interval for crashed-writer restarts.
   std::uint32_t monitor_poll_us = 50;
+  /// Submit pacing; `retry_budget` is ignored, the run never sheds an event.
   svc::BackoffPolicy submit_backoff;
   svc::ServiceConfig service;
 };

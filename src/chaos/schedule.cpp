@@ -26,12 +26,24 @@ constexpr std::array<OpLetter, 7> kOpAlphabet = {{{'S', true},
 // -- The front-specific half of a schedule run, in one place: plan wiring,
 // writer lifecycle and what a quiesced front reports. --------------------
 
-std::uint32_t shards_of(const svc::ServiceConfig&, const mesh::Mesh2D&) {
-  return 1;
+/// The single writer runs under the config's plan; a fleet gets one plan
+/// per shard that injects nothing until a KillShard op arms a kill on it.
+std::vector<std::unique_ptr<FaultPlan>> make_plans(
+    const ScheduleConfig& config, const mesh::Mesh2D&) {
+  std::vector<std::unique_ptr<FaultPlan>> plans;
+  plans.push_back(std::make_unique<FaultPlan>(config.plan));
+  return plans;
 }
-std::uint32_t shards_of(const svc::ShardedServiceConfig& config,
-                        const mesh::Mesh2D& machine) {
-  return svc::ShardGrid(machine, config.shard_rows, config.shard_cols).count();
+std::vector<std::unique_ptr<FaultPlan>> make_plans(
+    const ShardedScheduleConfig& config, const mesh::Mesh2D& machine) {
+  std::vector<std::unique_ptr<FaultPlan>> plans;
+  const svc::ShardGrid grid(machine, config.service.shard_rows,
+                            config.service.shard_cols);
+  for (std::uint32_t s = 0; s < grid.count(); ++s) {
+    plans.push_back(
+        std::make_unique<FaultPlan>(PlanSpec{.seed = config.seed + s}));
+  }
+  return plans;
 }
 
 void install_plans(svc::ServiceConfig& config,
@@ -73,10 +85,10 @@ std::uint64_t restart_until_alive(Front& front) {
 
 /// One schedule execution: the seeded churn, the front under its plans,
 /// and the invariant bookkeeping every op shares.
-template <class Front, class FrontConfig>
+template <class Front, class Config>
 class Execution {
  public:
-  explicit Execution(const BasicScheduleConfig<FrontConfig>& config)
+  explicit Execution(const Config& config)
       : config_(config),
         churn_(svc::seeded_churn(config.mesh_side, mesh::Topology::Mesh,
                                  config.initial_faults, config.events,
@@ -99,20 +111,8 @@ class Execution {
   }
 
  private:
-  static std::vector<std::unique_ptr<FaultPlan>> make_plans(
-      const BasicScheduleConfig<FrontConfig>& config,
-      const mesh::Mesh2D& machine) {
-    std::vector<std::unique_ptr<FaultPlan>> plans;
-    for (std::uint32_t s = 0; s < shards_of(config.service, machine); ++s) {
-      PlanSpec spec = config.plan;
-      spec.seed += s;
-      plans.push_back(std::make_unique<FaultPlan>(std::move(spec)));
-    }
-    return plans;
-  }
-
-  FrontConfig front_config() const {
-    FrontConfig config = config_.service;
+  auto front_config() const {
+    auto config = config_.service;
     // Room for the whole stream plus crash-requeued backlogs: genuine
     // Overloaded must be impossible so the only denials are chaos's.
     config.queue_capacity =
@@ -244,7 +244,7 @@ class Execution {
     }
   }
 
-  const BasicScheduleConfig<FrontConfig>& config_;
+  const Config& config_;
   svc::SeededChurn churn_;
   stats::Rng query_rng_;
   std::vector<std::unique_ptr<FaultPlan>> plans_;
@@ -309,12 +309,12 @@ std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
 
 ScheduleResult run_schedule(const ScheduleConfig& config,
                             const std::vector<Op>& schedule) {
-  return Execution<svc::Service, svc::ServiceConfig>(config).run(schedule);
+  return Execution<svc::Service, ScheduleConfig>(config).run(schedule);
 }
 
 ScheduleResult run_schedule(const ShardedScheduleConfig& config,
                             const std::vector<ShardedOp>& schedule) {
-  return Execution<svc::ShardedService, svc::ShardedServiceConfig>(config)
+  return Execution<svc::ShardedService, ShardedScheduleConfig>(config)
       .run(schedule);
 }
 
@@ -327,9 +327,7 @@ std::uint64_t quiesce(svc::Service& service) {
 }
 
 std::uint64_t quiesce(svc::ShardedService& fleet) {
-  const std::uint64_t restarts = restart_until_alive(fleet);
-  fleet.flush();
-  return restarts;
+  return restart_until_alive(fleet);
 }
 
 std::vector<Op> shrink_schedule(const ScheduleConfig& config,

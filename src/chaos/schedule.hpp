@@ -101,9 +101,9 @@ struct ShardedOp {
   friend bool operator==(const ShardedOp&, const ShardedOp&) = default;
 };
 
-/// Workload + chaos parameters for one schedule run, for either front's
-/// config type. The schedule itself (the op list) is passed separately so
-/// ddmin can vary it while the config stays fixed.
+/// Workload parameters for one schedule run, for either front's config
+/// type. The schedule itself (the op list) is passed separately so ddmin
+/// can vary it while the config stays fixed.
 template <class FrontConfig>
 struct BasicScheduleConfig {
   std::int32_t mesh_side = 16;
@@ -114,18 +114,21 @@ struct BasicScheduleConfig {
   std::size_t events = 96;
   double repair_fraction = 0.45;
   std::uint64_t seed = 1;
-  /// Chaos injected while the schedule runs (armed only during the ops;
-  /// the quiesce phase disarms it). A fleet gives every shard its own plan
-  /// of this spec, seeded `plan.seed + shard`; KillShard ops arm kills on
-  /// those plans against the victim's live epoch.
-  PlanSpec plan;
   /// Front shape; queue_capacity is clamped up to hold the whole stream
   /// so only chaos denials — never genuine overload — reject a submit, and
   /// a fleet's `shard_chaos` is overwritten with the per-shard plans.
   FrontConfig service;
 };
 
-using ScheduleConfig = BasicScheduleConfig<svc::ServiceConfig>;
+/// A single-writer run adds the chaos injected while the schedule runs
+/// (armed only during the ops; the quiesce phase disarms it).
+struct ScheduleConfig : BasicScheduleConfig<svc::ServiceConfig> {
+  PlanSpec plan;
+};
+
+/// A fleet's plans are created internally, one per shard, injecting
+/// nothing on their own: KillShard ops arm kills on them against the
+/// victim's live epoch.
 using ShardedScheduleConfig = BasicScheduleConfig<svc::ShardedServiceConfig>;
 
 /// A schedule run's verdict, with the state the quiesced front serves.

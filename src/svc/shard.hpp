@@ -115,8 +115,9 @@ struct HaloCellState {
 /// fault states + versions, addressed to a shard whose owned cells the
 /// extent touched.
 struct HaloDelta {
-  /// Emitting shard (observability; receivers do not treat any sender as
-  /// more authoritative — versions decide).
+  /// Emitting shard's index. Owners address their stale-belief answers to
+  /// it, so it must be the emitter's; receivers do not treat any sender as
+  /// more authoritative — versions decide.
   std::uint32_t source = 0;
   std::vector<HaloCellState> states;
 };
